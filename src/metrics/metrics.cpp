@@ -16,6 +16,7 @@ MetricsCollector::MetricsCollector(ClusterResources cluster)
   VIDUR_CHECK(cluster_.hbm_bytes_per_sec_per_gpu >= 0);
   VIDUR_CHECK(cluster_.idle_watts_per_gpu >= 0);
   VIDUR_CHECK(cluster_.peak_watts_per_gpu >= cluster_.idle_watts_per_gpu);
+  replica_sums_.resize(static_cast<std::size_t>(cluster_.num_replicas));
 }
 
 MetricsCollector::MetricsCollector(int num_replicas,
@@ -37,9 +38,12 @@ void MetricsCollector::set_pools(std::vector<PoolResources> pools,
     VIDUR_CHECK(p.gpus_per_replica >= 1);
     VIDUR_CHECK(p.peak_flops_per_gpu > 0);
   }
+  VIDUR_CHECK_MSG(pool_of_slot.size() == replica_sums_.size(),
+                  "pool slot layout covers " << pool_of_slot.size()
+                                             << " slots, the cluster "
+                                             << replica_sums_.size());
   pools_ = std::move(pools);
   pool_of_slot_ = std::move(pool_of_slot);
-  pool_accs_.assign(pools_.size(), PoolAcc{});
 }
 
 namespace {
@@ -72,36 +76,31 @@ double batch_energy_joules(const BatchRecord& record, double duration,
 void MetricsCollector::record_batch(const BatchRecord& record) {
   const double duration = record.end_time - record.start_time;
   VIDUR_CHECK(duration >= 0);
-  total_flops_ += record.flops;
-  total_hbm_bytes_ += static_cast<double>(record.hbm_bytes_per_gpu);
-  total_busy_time_ += duration;
-  weighted_kv_util_ += record.kv_utilization * duration;
-  weighted_batch_size_ += static_cast<double>(record.batch_size) * duration;
-  total_q_tokens_ += record.q_tokens;
-  ++total_batches_;
+  const auto slot = static_cast<std::size_t>(record.replica);
+  VIDUR_CHECK_MSG(record.replica >= 0 && slot < replica_sums_.size(),
+                  "batch replica " << record.replica << " outside the "
+                                   << replica_sums_.size() << " slots");
+  BatchSums& sums = replica_sums_[slot];
+  sums.flops += record.flops;
+  sums.hbm_bytes += static_cast<double>(record.hbm_bytes_per_gpu);
+  sums.busy_time += duration;
+  sums.weighted_kv_util += record.kv_utilization * duration;
+  sums.weighted_batch_size += static_cast<double>(record.batch_size) * duration;
 
   // Fleet-average energy against the (possibly slot-weighted) cluster
   // rates — kept as-is so homogeneous runs and the existing fleet metrics
   // are unchanged by per-pool attribution.
-  busy_energy_joules_ += batch_energy_joules(
+  sums.busy_energy_joules += batch_energy_joules(
       record, duration, cluster_.gpus_per_replica,
       cluster_.peak_flops_per_gpu, cluster_.hbm_bytes_per_sec_per_gpu,
       cluster_.idle_watts_per_gpu, cluster_.peak_watts_per_gpu);
 
-  // Exact per-pool attribution: the same batch accumulated against its own
-  // pool's SKU rates.
+  // Exact per-pool attribution: the same batch billed at its own pool's
+  // SKU rates.
   if (!pools_.empty()) {
-    const auto slot = static_cast<std::size_t>(record.replica);
-    VIDUR_CHECK_MSG(slot < pool_of_slot_.size(),
-                    "batch replica " << record.replica
-                                     << " outside the pool slot layout");
-    const auto pool = static_cast<std::size_t>(pool_of_slot_[slot]);
-    const PoolResources& res = pools_[pool];
-    PoolAcc& acc = pool_accs_[pool];
-    acc.flops += record.flops;
-    acc.hbm_bytes += static_cast<double>(record.hbm_bytes_per_gpu);
-    acc.busy_time += duration;
-    acc.busy_energy_joules += batch_energy_joules(
+    const PoolResources& res =
+        pools_[static_cast<std::size_t>(pool_of_slot_[slot])];
+    sums.pool_busy_energy_joules += batch_energy_joules(
         record, duration, res.gpus_per_replica, res.peak_flops_per_gpu,
         res.hbm_bytes_per_sec_per_gpu, res.idle_watts_per_gpu,
         res.peak_watts_per_gpu);
@@ -119,20 +118,45 @@ void MetricsCollector::record_request(const RequestRecord& record) {
 
 namespace {
 
-/// Worst inter-token gap of one request (0 when fewer than two tokens).
-Seconds max_tbt(const RequestRecord& r) {
-  Seconds worst = 0.0;
-  for (std::size_t i = 1; i < r.token_times.size(); ++i)
-    worst = std::max(worst, r.token_times[i] - r.token_times[i - 1]);
-  return worst;
-}
-
 bool meets_slo(const RequestRecord& r, const SloSpec& slo) {
   if (!r.completed()) return false;
   if (slo.ttft_target > 0 && r.ttft() > slo.ttft_target) return false;
-  if (slo.tbt_target > 0 && max_tbt(r) > slo.tbt_target) return false;
+  if (slo.tbt_target > 0 && r.worst_tbt() > slo.tbt_target) return false;
   return true;
 }
+
+/// Exact summaries of the completed records `keep` accepts, read in place
+/// in record order — for TBT, record then token: the order the samples
+/// would have been appended to a SampleSeries. Nothing is copied or sorted.
+template <typename Keep>
+struct RecordSummaries {
+  RequestRecordView records;
+  Keep keep;
+
+  /// One sample per record: `metric` of each.
+  Summary of(Seconds (RequestRecord::*metric)() const) const {
+    return summarize([metric](StreamSummary& s, const RequestRecord& r) {
+      s.add((r.*metric)());
+    });
+  }
+  /// Every inter-token gap of each record.
+  Summary tbt() const {
+    return summarize([](StreamSummary& s, const RequestRecord& r) {
+      s.add_gaps(r.token_times);
+    });
+  }
+  template <typename Feed>
+  Summary summarize(const Feed& feed) const {
+    StreamSummary s;
+    while (s.next_pass()) {
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        const RequestRecord& r = records[i];
+        if (r.completed() && keep(r)) feed(s, r);
+      }
+    }
+    return s.summary();
+  }
+};
 
 }  // namespace
 
@@ -153,30 +177,54 @@ SimulationMetrics MetricsCollector::finalize(Seconds now) const {
 
 SimulationMetrics MetricsCollector::finalize(
     Seconds now, const ClusterScalingReport& scaling) const {
+  return finalize(now, scaling, RequestRecordView(requests_));
+}
+
+SimulationMetrics MetricsCollector::finalize(
+    Seconds now, const ClusterScalingReport& scaling,
+    RequestRecordView records) const {
   SimulationMetrics m;
   m.scaling = scaling;
-  m.num_requests = requests_.size();
+  m.num_requests = records.size();
   m.makespan = now;
 
-  SampleSeries delay, ttft, tbt, norm_e2e, norm_exec;
   TokenCount output_tokens = 0;
-  for (const auto& r : requests_) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const RequestRecord& r = records[i];
     if (!r.completed()) continue;
     ++m.num_completed;
     m.num_restarts += r.num_restarts;
-    delay.add(r.scheduling_delay());
-    ttft.add(r.ttft());
-    norm_e2e.add(r.normalized_e2e_latency());
-    norm_exec.add(r.normalized_execution_latency());
     output_tokens += r.decode_tokens;
-    for (std::size_t i = 1; i < r.token_times.size(); ++i)
-      tbt.add(r.token_times[i] - r.token_times[i - 1]);
   }
-  m.scheduling_delay = Summary::of(delay);
-  m.ttft = Summary::of(ttft);
-  m.tbt = Summary::of(tbt);
-  m.normalized_e2e_latency = Summary::of(norm_e2e);
-  m.normalized_execution_latency = Summary::of(norm_exec);
+  const RecordSummaries fleet_records{
+      records, [](const RequestRecord&) { return true; }};
+  m.scheduling_delay = fleet_records.of(&RequestRecord::scheduling_delay);
+  m.ttft = fleet_records.of(&RequestRecord::ttft);
+  m.tbt = fleet_records.tbt();
+  m.normalized_e2e_latency =
+      fleet_records.of(&RequestRecord::normalized_e2e_latency);
+  m.normalized_execution_latency =
+      fleet_records.of(&RequestRecord::normalized_execution_latency);
+
+  // Fleet and per-pool batch sums, folded from the replica slots in slot
+  // order.
+  BatchSums fleet;
+  std::vector<BatchSums> pool_sums(pools_.size());
+  for (std::size_t slot = 0; slot < replica_sums_.size(); ++slot) {
+    const BatchSums& s = replica_sums_[slot];
+    fleet.flops += s.flops;
+    fleet.hbm_bytes += s.hbm_bytes;
+    fleet.busy_time += s.busy_time;
+    fleet.weighted_kv_util += s.weighted_kv_util;
+    fleet.weighted_batch_size += s.weighted_batch_size;
+    fleet.busy_energy_joules += s.busy_energy_joules;
+    if (pools_.empty()) continue;
+    BatchSums& pool = pool_sums[static_cast<std::size_t>(pool_of_slot_[slot])];
+    pool.flops += s.flops;
+    pool.hbm_bytes += s.hbm_bytes;
+    pool.busy_time += s.busy_time;
+    pool.pool_busy_energy_joules += s.pool_busy_energy_joules;
+  }
 
   if (now > 0) {
     m.throughput_qps = static_cast<double>(m.num_completed) / now;
@@ -184,13 +232,13 @@ SimulationMetrics MetricsCollector::finalize(
     const double cluster_flops = cluster_.peak_flops_per_gpu *
                                  cluster_.gpus_per_replica *
                                  cluster_.num_replicas;
-    m.mfu = total_flops_ / (now * cluster_flops);
+    m.mfu = fleet.flops / (now * cluster_flops);
     // hbm bytes are recorded per GPU, and each replica's GPUs move them in
     // parallel, so normalize by replica count only.
     if (cluster_.hbm_bytes_per_sec_per_gpu > 0)
-      m.mbu = total_hbm_bytes_ /
+      m.mbu = fleet.hbm_bytes /
               (now * cluster_.num_replicas * cluster_.hbm_bytes_per_sec_per_gpu);
-    m.busy_fraction = total_busy_time_ / (now * cluster_.num_replicas);
+    m.busy_fraction = fleet.busy_time / (now * cluster_.num_replicas);
 
     if (cluster_.peak_watts_per_gpu > 0) {
       // Idle draw is billed against the fleet's paid GPU-time (the scaling
@@ -199,18 +247,18 @@ SimulationMetrics MetricsCollector::finalize(
       // one stops drawing at release.
       const double paid_gpu_seconds = scaling.gpu_hours * 3600.0;
       const double idle_gpu_seconds = std::max(
-          0.0, paid_gpu_seconds - total_busy_time_ * cluster_.gpus_per_replica);
-      m.total_energy_joules =
-          busy_energy_joules_ + idle_gpu_seconds * cluster_.idle_watts_per_gpu;
+          0.0, paid_gpu_seconds - fleet.busy_time * cluster_.gpus_per_replica);
+      m.total_energy_joules = fleet.busy_energy_joules +
+                              idle_gpu_seconds * cluster_.idle_watts_per_gpu;
       if (output_tokens > 0)
         m.energy_per_output_token =
             m.total_energy_joules / static_cast<double>(output_tokens);
       m.mean_cluster_power_watts = m.total_energy_joules / now;
     }
   }
-  if (total_busy_time_ > 0) {
-    m.mean_kv_utilization = weighted_kv_util_ / total_busy_time_;
-    m.mean_batch_size = weighted_batch_size_ / total_busy_time_;
+  if (fleet.busy_time > 0) {
+    m.mean_kv_utilization = fleet.weighted_kv_util / fleet.busy_time;
+    m.mean_batch_size = fleet.weighted_batch_size / fleet.busy_time;
   }
   m.operator_stats = operator_stats_;
 
@@ -219,7 +267,7 @@ SimulationMetrics MetricsCollector::finalize(
   if (!pools_.empty() && m.scaling.pools.size() == pools_.size()) {
     for (std::size_t i = 0; i < pools_.size(); ++i) {
       const PoolResources& res = pools_[i];
-      const PoolAcc& acc = pool_accs_[i];
+      const BatchSums& acc = pool_sums[i];
       PoolScalingReport& p = m.scaling.pools[i];
       const double paid_replica_seconds = p.replica_hours * 3600.0;
       const double paid_gpu_seconds = p.gpu_hours * 3600.0;
@@ -236,7 +284,7 @@ SimulationMetrics MetricsCollector::finalize(
       if (res.peak_watts_per_gpu > 0) {
         const double idle_gpu_seconds = std::max(
             0.0, paid_gpu_seconds - acc.busy_time * res.gpus_per_replica);
-        p.energy_joules = acc.busy_energy_joules +
+        p.energy_joules = acc.pool_busy_energy_joules +
                           idle_gpu_seconds * res.idle_watts_per_gpu;
       }
     }
@@ -244,10 +292,10 @@ SimulationMetrics MetricsCollector::finalize(
 
   // ---- per-tenant breakdown ----
   bool tagged = !tenants_.empty();
-  for (const auto& r : requests_) tagged = tagged || r.tenant != 0;
+  for (std::size_t i = 0; i < records.size() && !tagged; ++i)
+    tagged = records[i].tenant != 0;
   if (tagged) {
     struct TenantAcc {
-      SampleSeries delay, ttft, tbt;
       std::size_t num_requests = 0, num_completed = 0, num_slo_met = 0;
       TokenCount output_tokens = 0;
     };
@@ -257,7 +305,8 @@ SimulationMetrics MetricsCollector::finalize(
       infos[t.id] = &t;
       accs[t.id];  // SLO-carrying tenants get a row even with no traffic
     }
-    for (const auto& r : requests_) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const RequestRecord& r = records[i];
       TenantAcc& acc = accs[r.tenant];
       ++acc.num_requests;
       const auto it = infos.find(r.tenant);
@@ -266,11 +315,7 @@ SimulationMetrics MetricsCollector::finalize(
         ++acc.num_slo_met;
       if (!r.completed()) continue;
       ++acc.num_completed;
-      acc.delay.add(r.scheduling_delay());
-      acc.ttft.add(r.ttft());
       acc.output_tokens += r.decode_tokens;
-      for (std::size_t i = 1; i < r.token_times.size(); ++i)
-        acc.tbt.add(r.token_times[i] - r.token_times[i - 1]);
     }
     for (const auto& [id, acc] : accs) {
       SimulationMetrics::TenantMetrics tm;
@@ -283,9 +328,11 @@ SimulationMetrics MetricsCollector::finalize(
       }
       tm.num_requests = acc.num_requests;
       tm.num_completed = acc.num_completed;
-      tm.scheduling_delay = Summary::of(acc.delay);
-      tm.ttft = Summary::of(acc.ttft);
-      tm.tbt = Summary::of(acc.tbt);
+      const RecordSummaries tenant_records{
+          records, [id = id](const RequestRecord& r) { return r.tenant == id; }};
+      tm.scheduling_delay = tenant_records.of(&RequestRecord::scheduling_delay);
+      tm.ttft = tenant_records.of(&RequestRecord::ttft);
+      tm.tbt = tenant_records.tbt();
       if (now > 0) {
         tm.throughput_qps = static_cast<double>(acc.num_completed) / now;
         tm.output_tokens_per_sec =

@@ -2,6 +2,7 @@
 // and cluster-level performance metrics gathered during a simulation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -77,6 +78,49 @@ struct RequestRecord {
     return (completed_time - first_scheduled_time) /
            static_cast<double>(decode_tokens);
   }
+  /// Worst inter-token gap; -1 when fewer than two tokens were emitted.
+  Seconds worst_tbt() const {
+    Seconds worst = -1.0;
+    for (std::size_t i = 1; i < token_times.size(); ++i)
+      worst = std::max(worst, token_times[i] - token_times[i - 1]);
+    return worst;
+  }
+};
+
+/// Read-only view of request records where they are stored: a vector of
+/// records, or one record member of every element of a vector of larger
+/// structs (the simulator's request states). finalize() aggregates through
+/// it, so a run's records are never copied.
+class RequestRecordView {
+ public:
+  RequestRecordView() = default;
+  explicit RequestRecordView(const std::vector<RequestRecord>& records)
+      : items_(records.data()),
+        size_(records.size()),
+        at_([](const void* items, std::size_t i) -> const RequestRecord& {
+          return static_cast<const RequestRecord*>(items)[i];
+        }) {}
+  /// The `Member` record of every element of `items`.
+  template <auto Member, typename T>
+  static RequestRecordView members(const std::vector<T>& items) {
+    RequestRecordView view;
+    view.items_ = items.data();
+    view.size_ = items.size();
+    view.at_ = [](const void* all, std::size_t i) -> const RequestRecord& {
+      return static_cast<const T*>(all)[i].*Member;
+    };
+    return view;
+  }
+
+  std::size_t size() const { return size_; }
+  const RequestRecord& operator[](std::size_t i) const {
+    return at_(items_, i);
+  }
+
+ private:
+  const void* items_ = nullptr;
+  std::size_t size_ = 0;
+  const RequestRecord& (*at_)(const void*, std::size_t) = nullptr;
 };
 
 /// One executed iteration (replica-level accounting).
@@ -285,7 +329,8 @@ struct SimulationMetrics {
   std::string to_string() const;
 };
 
-/// Collects raw samples during a run and aggregates them at the end.
+/// Accumulates batch sums during a run and aggregates them, with the run's
+/// request records, at the end.
 class MetricsCollector {
  public:
   explicit MetricsCollector(ClusterResources cluster);
@@ -302,38 +347,50 @@ class MetricsCollector {
   /// Enable exact per-pool attribution: `pools` carries each pool's own SKU
   /// rates (in pool order, matching the scaling report's pool order) and
   /// `pool_of_slot` maps every replica slot to its pool index. Batches are
-  /// then additionally accumulated per pool, and finalize() fills the
+  /// then also billed at their own pool's rates, and finalize() fills the
   /// mfu/mbu/busy_fraction/energy_joules fields of each PoolScalingReport
   /// from those exact sums. Call before the first record_batch().
   void set_pools(std::vector<PoolResources> pools,
                  std::vector<int> pool_of_slot);
 
+  /// Add one batch to its replica slot's sums. Only that slot is written,
+  /// so threads recording batches of distinct replicas never race, and the
+  /// result does not depend on how the replicas' batches interleave.
   void record_batch(const BatchRecord& record);
+  /// Keep a copy of one request's record for the finalize() overloads
+  /// without a record view (standalone callers; the simulator aggregates
+  /// its own records in place).
   void record_request(const RequestRecord& record);
   /// Accumulate one stage execution's per-operator time attribution.
   void record_operators(const std::map<OpType, Seconds>& per_op);
 
-  /// Aggregate. `now` is the simulation end time (makespan). The overload
-  /// taking the fleet's scaling report attaches it to the result and bills
+  /// Aggregate. `now` is the simulation end time (makespan). The overloads
+  /// taking the fleet's scaling report attach it to the result and bill
   /// idle energy from the fleet's actual paid GPU-time — an autoscaled run
   /// pays idle watts only while a replica is up (provisioning through
   /// decommission), not for the whole static slot ceiling. The one-argument
   /// form assumes a fixed fleet of `num_replicas` active the whole run.
+  /// Without `records`, the copies passed to record_request() are
+  /// aggregated. Replica sums fold in slot order.
   SimulationMetrics finalize(Seconds now) const;
   SimulationMetrics finalize(Seconds now,
                              const ClusterScalingReport& scaling) const;
-
-  const std::vector<RequestRecord>& request_records() const {
-    return requests_;
-  }
+  SimulationMetrics finalize(Seconds now, const ClusterScalingReport& scaling,
+                             RequestRecordView records) const;
 
  private:
-  /// Streaming per-pool accumulators (exact attribution).
-  struct PoolAcc {
+  /// Batch sums of one replica slot. Cache-line aligned: shard threads
+  /// write neighbouring slots concurrently.
+  struct alignas(64) BatchSums {
     double flops = 0.0;
     double hbm_bytes = 0.0;
     double busy_time = 0.0;
+    double weighted_kv_util = 0.0;
+    double weighted_batch_size = 0.0;
+    /// At the fleet-level (slot-weighted) rates.
     double busy_energy_joules = 0.0;
+    /// At the slot's own pool rates (pool attribution only).
+    double pool_busy_energy_joules = 0.0;
   };
 
   ClusterResources cluster_;
@@ -341,16 +398,7 @@ class MetricsCollector {
   std::vector<RequestRecord> requests_;
   std::vector<PoolResources> pools_;
   std::vector<int> pool_of_slot_;
-  std::vector<PoolAcc> pool_accs_;
-  // Streaming replica-level accumulators (batch records are not retained).
-  double total_flops_ = 0.0;
-  double total_hbm_bytes_ = 0.0;
-  double total_busy_time_ = 0.0;
-  double weighted_kv_util_ = 0.0;
-  double weighted_batch_size_ = 0.0;
-  double busy_energy_joules_ = 0.0;
-  std::int64_t total_batches_ = 0;
-  TokenCount total_q_tokens_ = 0;
+  std::vector<BatchSums> replica_sums_;  ///< one per replica slot
   std::map<OpType, SimulationMetrics::OperatorStats> operator_stats_;
 };
 

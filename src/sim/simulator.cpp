@@ -597,10 +597,7 @@ void Simulator::rolling_completions(
   const Seconds now = events_.now();
   for (const RequestState* r : finished) {
     const RequestRecord& rec = r->record;
-    Seconds worst_tbt = -1.0;  // < 0: fewer than two decode tokens
-    for (std::size_t i = 1; i < rec.token_times.size(); ++i)
-      worst_tbt =
-          std::max(worst_tbt, rec.token_times[i] - rec.token_times[i - 1]);
+    const Seconds worst_tbt = rec.worst_tbt();
     const SloSpec* slo =
         rec.tenant >= 0 &&
                 static_cast<std::size_t>(rec.tenant) < tenant_slo_by_id_.size()
@@ -712,8 +709,6 @@ SimulationMetrics Simulator::run() {
   if (preroute_ && trace_rec_ != nullptr)
     for (Replica& replica : replicas_) replica.scheduler->set_trace(trace_rec_);
 
-  for (const RequestState& state : states_)
-    metrics_.record_request(state.record);
   // Replica-private tallies fold into the shared counters once, after the
   // last event: shard threads never touch the registry.
   {
@@ -722,6 +717,8 @@ SimulationMetrics Simulator::run() {
     for (const Replica& replica : replicas_) {
       preemptions->value += replica.preemptions.value;
       admissions->value += replica.admissions.value;
+      ctr_batches_->value += replica.batches.value;
+      ctr_completions_->value += replica.completions.value;
     }
     for (const SimShard& shard : shards_)
       ctr_arrivals_->value += static_cast<std::uint64_t>(shard.arrivals);
@@ -761,16 +758,16 @@ SimulationMetrics Simulator::run() {
     if (!rec.completed()) continue;
     ttft_hist->record(rec.ttft());
     e2e_hist->record(rec.e2e_latency());
-    Seconds worst_tbt = -1.0;
-    for (std::size_t i = 1; i < rec.token_times.size(); ++i)
-      worst_tbt =
-          std::max(worst_tbt, rec.token_times[i] - rec.token_times[i - 1]);
+    const Seconds worst_tbt = rec.worst_tbt();
     if (worst_tbt >= 0) tbt_hist->record(worst_tbt);
   }
   registry_->counter("sim.events")->value = num_events;
   registry_->gauge("sim.makespan_s")->set(end_time);
 
-  SimulationMetrics metrics = metrics_.finalize(end_time, report);
+  // The request records are aggregated where they live, never copied.
+  SimulationMetrics metrics = metrics_.finalize(
+      end_time, report,
+      RequestRecordView::members<&RequestState::record>(states_));
   if (config_.prefix_cache.enabled)
     aggregate_prefix_cache(metrics.prefix_cache);
   if (config_.faults.enabled()) aggregate_resilience(metrics.resilience);
@@ -827,76 +824,49 @@ void Simulator::run_shard(SimShard& shard, Seconds window) {
 }
 
 void Simulator::merge_round() {
-  // k-way scan by (time, shard, stream position): with a handful of dirty
-  // shards per round a linear scan beats a heap, and the tie-break makes
-  // the merged order total — the source of the bit-identical-at-any-
-  // thread-count guarantee.
+  // Sharded runs lose and shed nothing (both need an elastic fleet), so the
+  // work left is the trace minus the replicas' completions. Fault renewals
+  // at the next central event read it.
+  std::uint64_t completed = 0;
+  for (const Replica& replica : replicas_)
+    completed += replica.completions.value;
+  remaining_requests_ = states_.size() - static_cast<std::size_t>(completed);
+
+  // k-way scan of the staged trace records by (time, shard, stream
+  // position): with a handful of dirty shards per round a linear scan
+  // beats a heap, and the tie-break makes the merged order total — the
+  // source of the bit-identical-at-any-thread-count guarantee.
   const std::size_t n = shards_.size();
-  merge_rec_cur_.assign(n, 0);
-  merge_done_cur_.assign(n, 0);
+  merge_cur_.assign(n, 0);
   for (;;) {
     std::size_t best = n;
-    bool best_done = false;
     Seconds best_time = 0.0;
     for (std::size_t r = 0; r < n; ++r) {
-      SimShard& shard = shards_[r];
-      const std::size_t rec = merge_rec_cur_[r];
-      const std::size_t done = merge_done_cur_[r];
-      const std::size_t num_rec = shard.staging.staged().size();
-      bool is_done;
-      Seconds t;
-      // Within one shard the two streams interleave positionally: the op
-      // staged at trace position p precedes the record at p (both streams
-      // are time-nondecreasing, so no time comparison is needed).
-      if (done < shard.done.size() && shard.done[done].trace_pos <= rec) {
-        is_done = true;
-        t = shard.done[done].record.end_time;
-      } else if (rec < num_rec) {
-        is_done = false;
-        t = shard.staging.staged()[rec].time;
-      } else if (done < shard.done.size()) {
-        is_done = true;
-        t = shard.done[done].record.end_time;
-      } else {
-        continue;
-      }
+      const std::vector<TraceRecord>& staged = shards_[r].staging.staged();
+      if (merge_cur_[r] == staged.size()) continue;
+      const Seconds t = staged[merge_cur_[r]].time;
       if (best == n || t < best_time) {
         best = r;
-        best_done = is_done;
         best_time = t;
       }
     }
     if (best == n) break;
-    SimShard& shard = shards_[best];
-    if (best_done) {
-      const ShardDone& op = shard.done[merge_done_cur_[best]++];
-      metrics_.record_batch(op.record);
-      ctr_batches_->inc();
-      ctr_completions_->inc(static_cast<std::uint64_t>(op.completions));
-      remaining_requests_ -= static_cast<std::size_t>(op.completions);
-      last_batch_end_ = std::max(last_batch_end_, op.record.end_time);
-    } else {
-      TraceRecord record = shard.staging.staged()[merge_rec_cur_[best]++];
-      // Batch records were staged under provisional shard-local sequence
-      // numbers (-(local) - 2); the merge order assigns the globals.
-      if (record.id <= -2 && record.kind == TraceEventKind::kBatchStart) {
-        auto& seq_map = shard_batch_seq_[best];
-        const auto local = static_cast<std::size_t>(-record.id) - 2;
-        if (local >= seq_map.size()) seq_map.resize(local + 1, -1);
-        seq_map[local] = next_batch_seq_++;
-        record.id = seq_map[local];
-      } else if (record.id <= -2 &&
-                 record.kind == TraceEventKind::kBatchEnd) {
-        record.id =
-            shard_batch_seq_[best][static_cast<std::size_t>(-record.id) - 2];
-      }
-      trace_rec_->emit(record);
+    TraceRecord record = shards_[best].staging.staged()[merge_cur_[best]++];
+    // Batch records were staged under provisional shard-local sequence
+    // numbers (-(local) - 2); the merge order assigns the globals.
+    if (record.id <= -2 && record.kind == TraceEventKind::kBatchStart) {
+      auto& seq_map = shard_batch_seq_[best];
+      const auto local = static_cast<std::size_t>(-record.id) - 2;
+      if (local >= seq_map.size()) seq_map.resize(local + 1, -1);
+      seq_map[local] = next_batch_seq_++;
+      record.id = seq_map[local];
+    } else if (record.id <= -2 && record.kind == TraceEventKind::kBatchEnd) {
+      record.id =
+          shard_batch_seq_[best][static_cast<std::size_t>(-record.id) - 2];
     }
+    trace_rec_->emit(record);
   }
-  for (SimShard& shard : shards_) {
-    shard.staging.clear();
-    shard.done.clear();
-  }
+  for (SimShard& shard : shards_) shard.staging.clear();
 }
 
 void Simulator::dispatch(const SimEvent& event) {
@@ -1202,18 +1172,15 @@ void Simulator::finish_batch(ReplicaId replica_id,
   }
 
   const auto finished = replica.scheduler->on_batch_end(batch.spec, sim_now());
-  if (tls_shard_ != nullptr) {
-    // Shard context: the cross-shard effects (batch metrics, fleet
-    // counters, remaining-work accounting) are staged and applied at the
-    // merge barrier in global time order; trace_pos pins this op's
-    // interleave position within the shard's record stream.
-    tls_shard_->done.push_back(
-        ShardDone{record, static_cast<std::int64_t>(finished.size()),
-                  tls_shard_->staging.staged().size()});
-  } else {
-    metrics_.record_batch(record);
-    ctr_batches_->inc();
-    ctr_completions_->inc(finished.size());
+  // Batch sums and tallies land in this replica's own slots, so a shard
+  // thread touches nothing another thread writes; the fleet figures fold
+  // from them after the run.
+  metrics_.record_batch(record);
+  replica.batches.inc();
+  replica.completions.inc(finished.size());
+  if (tls_shard_ == nullptr) {
+    // Central context only: shared state the sharded engine never needs
+    // mid-round (its merge barrier recounts the remaining work).
     rolling_completions(replica_id, finished);
     remaining_requests_ -= finished.size();
     last_batch_end_ = events_.now();
@@ -1406,12 +1373,9 @@ void Simulator::aggregate_resilience(ResilienceMetrics& out) const {
     bool met = false;
     if (rec.completed()) {
       met = true;
-      Seconds worst_tbt = -1.0;
-      for (std::size_t i = 1; i < rec.token_times.size(); ++i)
-        worst_tbt =
-            std::max(worst_tbt, rec.token_times[i] - rec.token_times[i - 1]);
       if (slo->ttft_target > 0 && rec.ttft() > slo->ttft_target) met = false;
-      if (slo->tbt_target > 0 && worst_tbt > slo->tbt_target) met = false;
+      if (slo->tbt_target > 0 && rec.worst_tbt() > slo->tbt_target)
+        met = false;
     } else if (!rec.shed && !rec.lost) {
       continue;  // never finished for another reason (max_sim_time cutoff)
     }

@@ -178,11 +178,15 @@ class Simulator {
     /// allocating. Per replica — never shared across shard threads.
     std::vector<InFlightBatch> in_flight;
     std::vector<StageScheduler::BatchHandle> free_handles;
-    /// Scheduler preemption/admission tallies, kept replica-private so
-    /// shard threads never race on the registry counters; summed into
-    /// `scheduler.preemptions` / `scheduler.admissions` at end of run.
+    /// Scheduler preemption/admission and batch/completion tallies, kept
+    /// replica-private so shard threads never race on the registry
+    /// counters; summed into `scheduler.preemptions`,
+    /// `scheduler.admissions`, `sim.batches` and `sim.requests_completed`
+    /// at end of run.
     Counter preemptions;
     Counter admissions;
+    Counter batches;
+    Counter completions;
   };
 
   /// Typed-event switch: the single dispatch point of the hot loop.
@@ -210,29 +214,17 @@ class Simulator {
   const std::vector<int>& outstanding_counts(int count) const;
 
   // ---- sharded windowed engine ----
-  /// Deferred cross-shard effect of one batch that completed inside a
-  /// window round. Shard threads only stage these; the merge barrier
-  /// applies them (batch metrics, fleet counters, remaining-work
-  /// accounting) in global (time, shard, position) order, so the shared
-  /// aggregation state is only ever touched by the driving thread.
-  struct ShardDone {
-    BatchRecord record;  ///< record.end_time orders the op globally
-    std::int64_t completions = 0;
-    /// Staged trace records emitted before this op — its interleave
-    /// position within the shard's trace stream.
-    std::uint64_t trace_pos = 0;
-  };
   /// One replica's private simulation timeline: its own event queue plus
-  /// the staging buffers drained at every window boundary. Everything a
-  /// shard thread mutates while running events lives here or in the
-  /// matching Replica — nothing shared, no locks on the hot path.
+  /// the trace staging buffer drained at every window boundary. Everything
+  /// a shard thread mutates while running events lives here, in the
+  /// matching Replica, or in the replica's own slot of the metrics
+  /// collector — nothing shared, no locks on the hot path.
   struct SimShard {
     ReplicaId replica = -1;
     EventQueue events;
     /// Trace records staged in shard-local order (unbounded — merged and
     /// cleared every round, so it never grows past one window's output).
     TraceRecorder staging{TraceRecorder::kUnbounded};
-    std::vector<ShardDone> done;
     /// Next shard-local batch sequence number; staged records carry the
     /// provisional id -(local)-2 until the merge assigns global seqs.
     std::int64_t next_local_batch = 0;
@@ -252,9 +244,9 @@ class Simulator {
   /// One conservative round: advance every shard with pending work below
   /// `window` (in parallel when a team exists), then merge.
   void shard_round(Seconds window);
-  /// Deterministic k-way merge of the round's staged trace records and
-  /// completion ops by (time, shard, position); assigns global batch
-  /// sequence numbers and applies the deferred aggregation.
+  /// Window barrier: recount the remaining work from the replicas'
+  /// completion tallies, then k-way merge the round's staged trace records
+  /// by (time, shard, position), assigning global batch sequence numbers.
   void merge_round();
 
   // ---- heterogeneous pools ----
@@ -345,7 +337,9 @@ class Simulator {
   mutable std::vector<int> outstanding_scratch_;
   std::unique_ptr<ClusterManager> cluster_;  ///< elastic fleets only
   std::size_t remaining_requests_ = 0;       ///< not yet completed
-  Seconds last_batch_end_ = 0.0;             ///< time of the last batch end
+  /// Time of the last batch end, central engine only (elastic fleets end
+  /// their accounting there; they never shard).
+  Seconds last_batch_end_ = 0.0;
   bool ran_ = false;
 
   // ---- fault injection state ----
@@ -390,8 +384,7 @@ class Simulator {
   /// Per-shard local -> global batch sequence map (grown at merge time).
   std::vector<std::vector<std::int64_t>> shard_batch_seq_;
   std::vector<int> dirty_scratch_;  ///< shards with work this round
-  std::vector<std::size_t> merge_rec_cur_;   ///< merge cursors: records
-  std::vector<std::size_t> merge_done_cur_;  ///< merge cursors: done ops
+  std::vector<std::size_t> merge_cur_;  ///< merge cursor per shard
   std::unique_ptr<SpinTeam> team_;  ///< threads > 1 and > 1 shard only
   /// The running thread's shard during a window round, null in central
   /// context (and always on the legacy path).

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/check.h"
 #include "common/csv.h"
@@ -215,6 +217,125 @@ TEST(SampleSeries, SummaryFields) {
   EXPECT_NEAR(sum.p99, 990.01, 0.1);
   EXPECT_DOUBLE_EQ(sum.min, 1.0);
   EXPECT_DOUBLE_EQ(sum.max, 1000.0);
+}
+
+// StreamSummary must reproduce the sort-based Summary::of bit for bit:
+// every field compared with ==, never within a tolerance.
+void expect_same_summary(const Summary& got, const Summary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.stddev, want.stddev);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.max, want.max);
+}
+
+void expect_stream_matches_sort(const std::vector<double>& xs) {
+  SampleSeries series;
+  for (const double x : xs) series.add(x);
+  StreamSummary stream;
+  int passes = 0;
+  while (stream.next_pass()) {
+    ++passes;
+    for (const double x : xs) stream.add(x);
+  }
+  EXPECT_LE(passes, 6);
+  expect_same_summary(stream.summary(), Summary::of(series));
+}
+
+TEST(StreamSummary, MatchesSortOnRandomSeries) {
+  Rng rng(41);
+  // The largest stream keeps prefixes above the gather bound, so digit
+  // passes run before the gather.
+  for (const int n : {3, 17, 100, 1001, 300000}) {
+    std::vector<double> xs;
+    for (int i = 0; i < n; ++i) xs.push_back(rng.lognormal(-4.0, 1.5));
+    expect_stream_matches_sort(xs);
+  }
+}
+
+TEST(StreamSummary, MatchesSortOnHeavyTies) {
+  // Few distinct values, and near-ties one ulp apart: the shape of
+  // inter-token gaps, which repeat one iteration time up to rounding. The
+  // near-ties share every digit but the last, so they take all six passes.
+  Rng rng(43);
+  std::vector<double> ties, near_ties;
+  for (int i = 0; i < 200000; ++i) {
+    ties.push_back(0.01 * static_cast<double>(rng.uniform_int(1, 4)));
+    double x = 0.0123;
+    for (std::int64_t k = rng.uniform_int(0, 3); k > 0; --k)
+      x = std::nextafter(x, 1.0);
+    near_ties.push_back(x);
+  }
+  expect_stream_matches_sort(ties);
+  expect_stream_matches_sort(near_ties);
+}
+
+TEST(StreamSummary, MatchesSortOnDegenerateSeries) {
+  expect_stream_matches_sort({});
+  expect_stream_matches_sort({0.3});
+  expect_stream_matches_sort({0.3, 0.1});
+  expect_stream_matches_sort(std::vector<double>(1000, 0.1));  // all equal
+  expect_stream_matches_sort({0.0, 0.02, 0.0, 0.0, 0.5, 0.02});  // zero gaps
+}
+
+TEST(StreamSummary, MatchesSortOnNegativeSeries) {
+  Rng rng(47);
+  std::vector<double> negative, mixed;
+  for (int i = 0; i < 5000; ++i) {
+    negative.push_back(-rng.exponential(30.0));
+    mixed.push_back(rng.normal(0.0, 1e-3));
+  }
+  expect_stream_matches_sort(negative);
+  expect_stream_matches_sort(mixed);
+}
+
+TEST(StreamSummary, GapsOfTimestampsMatchSortOfGaps) {
+  // add_gaps() over per-request timestamp arrays (the TBT feed) equals the
+  // sort over the same gaps appended record by record. Enough samples
+  // that some prefixes stay above the gather bound and take digit passes.
+  Rng rng(59);
+  std::vector<std::vector<double>> requests(1000);
+  SampleSeries gaps;
+  for (std::vector<double>& times : requests) {
+    double t = rng.uniform(0.0, 100.0);
+    const std::int64_t n = rng.uniform_int(0, 600);
+    for (std::int64_t i = 0; i < n; ++i) {
+      // Iteration times repeat up to rounding at the absolute time.
+      t += 0.0125 * static_cast<double>(rng.uniform_int(1, 3));
+      times.push_back(t);
+    }
+    for (std::size_t i = 1; i < times.size(); ++i)
+      gaps.add(times[i] - times[i - 1]);
+  }
+  StreamSummary stream;
+  int passes = 0;
+  while (stream.next_pass()) {
+    ++passes;
+    for (const std::vector<double>& times : requests) stream.add_gaps(times);
+  }
+  EXPECT_GT(passes, 2);
+  expect_same_summary(stream.summary(), Summary::of(gaps));
+}
+
+TEST(StreamSummary, ChangedStreamIsAnError) {
+  StreamSummary stream;
+  ASSERT_TRUE(stream.next_pass());
+  for (int i = 0; i < 10; ++i) stream.add(static_cast<double>(i));
+  ASSERT_TRUE(stream.next_pass());
+  stream.add(1.0);  // nine samples short
+  EXPECT_THROW(stream.next_pass(), Error);
+}
+
+TEST(StreamSummary, OrderKeyPreservesOrder) {
+  const std::vector<double> sorted = {
+      -std::numeric_limits<double>::infinity(), -1e300, -2.5, -1e-300, -0.0,
+      0.0, 1e-310, 1e-300, 2.5, 1e300, std::numeric_limits<double>::infinity()};
+  for (std::size_t i = 1; i < sorted.size(); ++i)
+    EXPECT_LT(order_key(sorted[i - 1]), order_key(sorted[i])) << i;
 }
 
 // -------------------------------------------------------------------- csv

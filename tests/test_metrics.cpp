@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/random.h"
 #include "metrics/metrics.h"
 
 namespace vidur {
@@ -35,6 +36,17 @@ TEST(RequestRecord, IncompleteRequest) {
   RequestRecord r = sample_record();
   r.completed_time = -1.0;
   EXPECT_FALSE(r.completed());
+}
+
+TEST(RequestRecord, WorstTbtIsLargestGapOrMinusOne) {
+  RequestRecord r = sample_record();
+  EXPECT_DOUBLE_EQ(r.worst_tbt(), 12.6 - 12.0);
+  r.token_times = {11.0};
+  EXPECT_EQ(r.worst_tbt(), -1.0);
+  r.token_times.clear();
+  EXPECT_EQ(r.worst_tbt(), -1.0);
+  r.token_times = {11.0, 11.0};  // a zero gap is still a gap
+  EXPECT_EQ(r.worst_tbt(), 0.0);
 }
 
 TEST(MetricsCollector, AggregatesRequestLevelMetrics) {
@@ -146,6 +158,131 @@ TEST(MetricsCollector, NegativeBatchDurationThrows) {
   bad.start_time = 2.0;
   bad.end_time = 1.0;
   EXPECT_THROW(collector.record_batch(bad), Error);
+}
+
+TEST(MetricsCollector, BatchOutsideTheSlotsThrows) {
+  MetricsCollector collector(2, 1e12, 1);
+  BatchRecord batch;
+  batch.end_time = 1.0;
+  batch.replica = 2;
+  EXPECT_THROW(collector.record_batch(batch), Error);
+}
+
+TEST(MetricsCollector, RecordViewMatchesRecordedCopies) {
+  // finalize() over records held inside larger structs (the simulator's
+  // request states) equals finalize() over record_request() copies.
+  struct Holder {
+    int before = 7;
+    RequestRecord record;
+    double after = 0.5;
+  };
+  std::vector<Holder> held(3);
+  MetricsCollector copies(1, 1e12, 1);
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    held[i].record = sample_record();
+    held[i].record.id = static_cast<RequestId>(i);
+    held[i].record.tenant = static_cast<TenantId>(i % 2);
+    held[i].record.completed_time += static_cast<double>(i);
+    held[i].record.token_times.push_back(15.0 + static_cast<double>(i));
+    copies.record_request(held[i].record);
+  }
+  const MetricsCollector in_place(1, 1e12, 1);
+  const SimulationMetrics a = copies.finalize(20.0);
+  const SimulationMetrics b = in_place.finalize(
+      20.0, static_fleet_report(1, 20.0, 1, 0.0),
+      RequestRecordView::members<&Holder::record>(held));
+  EXPECT_EQ(b.num_requests, a.num_requests);
+  EXPECT_EQ(b.num_completed, a.num_completed);
+  EXPECT_EQ(b.tbt.count, a.tbt.count);
+  EXPECT_EQ(b.tbt.p99, a.tbt.p99);
+  EXPECT_EQ(b.normalized_e2e_latency.p50, a.normalized_e2e_latency.p50);
+  ASSERT_EQ(b.tenant_metrics.size(), 2u);
+  ASSERT_EQ(a.tenant_metrics.size(), 2u);
+  EXPECT_EQ(b.tenant_metrics[1].tbt.max, a.tenant_metrics[1].tbt.max);
+}
+
+TEST(MetricsCollector, BatchAggregatesIgnoreReplicaInterleaving) {
+  // Per-replica sums fold in slot order, so the fleet and per-pool figures
+  // depend only on each replica's own batch sequence — not on how the
+  // replicas' batches interleave (the sharded engine records them from
+  // several threads).
+  ClusterResources cluster{.num_replicas = 3,
+                           .gpus_per_replica = 1,
+                           .peak_flops_per_gpu = 3e12,
+                           .hbm_bytes_per_sec_per_gpu = 7e11,
+                           .idle_watts_per_gpu = 60.0,
+                           .peak_watts_per_gpu = 410.0};
+  PoolResources big{.name = "big",
+                    .gpus_per_replica = 1,
+                    .peak_flops_per_gpu = 3e12,
+                    .hbm_bytes_per_sec_per_gpu = 7e11,
+                    .idle_watts_per_gpu = 60.0,
+                    .peak_watts_per_gpu = 410.0};
+  PoolResources small = big;
+  small.name = "small";
+  small.peak_flops_per_gpu = 1.1e12;
+  small.peak_watts_per_gpu = 230.0;
+
+  // Awkward magnitudes so a different summation order would round
+  // differently.
+  Rng rng(53);
+  std::vector<std::vector<BatchRecord>> per_replica(3);
+  for (ReplicaId r = 0; r < 3; ++r) {
+    Seconds t = 0.0;
+    for (int i = 0; i < 40; ++i) {
+      BatchRecord b;
+      b.replica = r;
+      b.start_time = t;
+      t += rng.uniform(0.001, 0.3);
+      b.end_time = t;
+      b.flops = rng.uniform(1e9, 9e11) * 1.0000001;
+      b.hbm_bytes_per_gpu = rng.uniform_int(1, 1'000'000'000);
+      b.batch_size = static_cast<int>(rng.uniform_int(1, 64));
+      b.kv_utilization = rng.uniform();
+      per_replica[static_cast<std::size_t>(r)].push_back(b);
+    }
+  }
+  ClusterScalingReport scaling = static_fleet_report(3, 20.0, 1, 0.0);
+  for (const char* name : {"big", "small"}) {
+    PoolScalingReport pool;
+    pool.name = name;
+    pool.replica_hours = pool.gpu_hours = 20.0 / 3600.0;
+    scaling.pools.push_back(pool);
+  }
+
+  const auto finalize = [&](bool replica_major) {
+    MetricsCollector collector(cluster);
+    collector.set_pools({big, small}, {0, 1, 1});
+    if (replica_major) {
+      for (const auto& batches : per_replica)
+        for (const BatchRecord& b : batches) collector.record_batch(b);
+    } else {  // round-robin across replicas, last replica first
+      for (std::size_t i = 0; i < 40; ++i)
+        for (std::size_t r = 3; r-- > 0;)
+          collector.record_batch(per_replica[r][i]);
+    }
+    return collector.finalize(20.0, scaling);
+  };
+  const SimulationMetrics a = finalize(true);
+  const SimulationMetrics b = finalize(false);
+  EXPECT_GT(a.mfu, 0.0);
+  EXPECT_GT(a.total_energy_joules, 0.0);
+  EXPECT_EQ(a.mfu, b.mfu);
+  EXPECT_EQ(a.mbu, b.mbu);
+  EXPECT_EQ(a.busy_fraction, b.busy_fraction);
+  EXPECT_EQ(a.total_energy_joules, b.total_energy_joules);
+  EXPECT_EQ(a.mean_batch_size, b.mean_batch_size);
+  EXPECT_EQ(a.mean_kv_utilization, b.mean_kv_utilization);
+  ASSERT_EQ(a.scaling.pools.size(), 2u);
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_GT(a.scaling.pools[p].energy_joules, 0.0);
+    EXPECT_EQ(a.scaling.pools[p].mfu, b.scaling.pools[p].mfu);
+    EXPECT_EQ(a.scaling.pools[p].mbu, b.scaling.pools[p].mbu);
+    EXPECT_EQ(a.scaling.pools[p].busy_fraction,
+              b.scaling.pools[p].busy_fraction);
+    EXPECT_EQ(a.scaling.pools[p].energy_joules,
+              b.scaling.pools[p].energy_joules);
+  }
 }
 
 }  // namespace

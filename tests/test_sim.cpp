@@ -5,9 +5,11 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "common/random.h"
 #include "core/session.h"
+#include "scenario/registry.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "workload/trace_generator.h"
@@ -553,6 +555,123 @@ TEST(Simulator, RestartsSurfaceInMetrics) {
   const SimulationMetrics m = sim.run();
   EXPECT_EQ(m.num_completed, 24u);
   EXPECT_GT(m.num_restarts, 0);
+}
+
+// ------------------------------------------- in-place finalize contract
+
+void expect_same_summary(const Summary& got, const Summary& want,
+                         const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.stddev, want.stddev);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.max, want.max);
+}
+
+/// run() aggregates its request records in place; a fresh collector fed
+/// copies of the same records through record_request() must agree on every
+/// request-level figure, bit for bit. (The repository benchmark's traced
+/// run replays records this way.)
+void expect_replay_matches_run(const Simulator& sim,
+                               const SimulationConfig& config,
+                               const SimulationMetrics& m) {
+  MetricsCollector replay(config.parallel.num_replicas,
+                          config.node.sku.peak_flops(),
+                          config.parallel.gpus_per_replica(),
+                          config.node.sku.hbm_bytes_per_sec());
+  replay.set_tenants(config.tenants);
+  for (const RequestState& state : sim.request_states())
+    replay.record_request(state.record);
+  const SimulationMetrics r = replay.finalize(m.makespan);
+
+  EXPECT_EQ(r.num_requests, m.num_requests);
+  EXPECT_EQ(r.num_completed, m.num_completed);
+  EXPECT_EQ(r.num_restarts, m.num_restarts);
+  EXPECT_EQ(r.throughput_qps, m.throughput_qps);
+  EXPECT_EQ(r.output_tokens_per_sec, m.output_tokens_per_sec);
+  expect_same_summary(r.scheduling_delay, m.scheduling_delay, "delay");
+  expect_same_summary(r.ttft, m.ttft, "ttft");
+  expect_same_summary(r.tbt, m.tbt, "tbt");
+  expect_same_summary(r.normalized_e2e_latency, m.normalized_e2e_latency,
+                      "norm e2e");
+  expect_same_summary(r.normalized_execution_latency,
+                      m.normalized_execution_latency, "norm exec");
+  ASSERT_EQ(r.tenant_metrics.size(), m.tenant_metrics.size());
+  for (std::size_t i = 0; i < m.tenant_metrics.size(); ++i) {
+    const auto& want = m.tenant_metrics[i];
+    const auto& got = r.tenant_metrics[i];
+    SCOPED_TRACE("tenant " + want.info.name);
+    EXPECT_EQ(got.info.id, want.info.id);
+    EXPECT_EQ(got.info.name, want.info.name);
+    EXPECT_EQ(got.num_requests, want.num_requests);
+    EXPECT_EQ(got.num_completed, want.num_completed);
+    expect_same_summary(got.scheduling_delay, want.scheduling_delay, "delay");
+    expect_same_summary(got.ttft, want.ttft, "ttft");
+    expect_same_summary(got.tbt, want.tbt, "tbt");
+    EXPECT_EQ(got.throughput_qps, want.throughput_qps);
+    EXPECT_EQ(got.output_tokens_per_sec, want.output_tokens_per_sec);
+    EXPECT_EQ(got.slo_attainment, want.slo_attainment);
+  }
+}
+
+TEST(SimulatorFinalize, ShardedFleetMatchesRecordReplay) {
+  // Static round-robin fleet at threads = 2: the sharded engine runs it.
+  SimulationConfig config = base_config(SchedulerKind::kVllm, 1, 1, 8);
+  config.global_scheduler = GlobalSchedulerKind::kRoundRobin;
+  config.threads = 2;
+  Simulator sim(config, poisson_trace(400, 8.0), reference_factory(config));
+  const SimulationMetrics m = sim.run();
+  EXPECT_EQ(m.num_completed, 400u);
+  EXPECT_GT(m.tbt.count, 1000u);
+  expect_replay_matches_run(sim, config, m);
+}
+
+TEST(SimulatorFinalize, TenantScenarioMatchesRecordReplay) {
+  // Tenant-tagged scenario with SLOs on the central path, cut short so
+  // some requests never complete (they count against SLO attainment).
+  Scenario scenario = scenario_by_name("flash-crowd-mixed");
+  scenario.num_requests = 300;
+  SimulationConfig config = base_config(SchedulerKind::kSarathi, 1, 1, 2);
+  config.global_scheduler = GlobalSchedulerKind::kLeastOutstanding;
+  config.tenants = scenario.tenant_infos();
+  config.max_sim_time = 100.0;
+  Simulator sim(config, generate_scenario_trace(scenario, 31),
+                reference_factory(config));
+  const SimulationMetrics m = sim.run();
+  EXPECT_LT(m.num_completed, m.num_requests);
+  ASSERT_EQ(m.tenant_metrics.size(), 2u);
+  EXPECT_GE(m.tenant_metrics[0].slo_attainment, 0.0);
+  expect_replay_matches_run(sim, config, m);
+}
+
+TEST(SimulatorFinalize, BatchAggregatesAgreeAcrossEngines) {
+  // Per-replica batch sums fold in slot order, so the figures depend only
+  // on each replica's own batches: the sharded engine (threads = 3) and
+  // the central single-queue engine (forced by rolling windows) agree
+  // exactly, whatever order their batches completed in.
+  SimulationConfig config = base_config(SchedulerKind::kVllm, 1, 1, 6);
+  config.global_scheduler = GlobalSchedulerKind::kRoundRobin;
+  const Trace trace = poisson_trace(300, 6.0);
+  std::vector<SimulationMetrics> runs;
+  for (const bool central : {false, true}) {
+    config.threads = central ? 1 : 3;
+    config.obs.rolling_window_s = central ? 10.0 : 0.0;
+    Simulator sim(config, trace, reference_factory(config));
+    runs.push_back(sim.run());
+  }
+  EXPECT_FALSE(runs[1].rolling.empty());  // really the central engine
+  EXPECT_GT(runs[0].mfu, 0.0);
+  EXPECT_EQ(runs[1].mfu, runs[0].mfu);
+  EXPECT_EQ(runs[1].mbu, runs[0].mbu);
+  EXPECT_EQ(runs[1].busy_fraction, runs[0].busy_fraction);
+  EXPECT_EQ(runs[1].total_energy_joules, runs[0].total_energy_joules);
+  EXPECT_EQ(runs[1].mean_batch_size, runs[0].mean_batch_size);
+  EXPECT_EQ(runs[1].mean_kv_utilization, runs[0].mean_kv_utilization);
 }
 
 }  // namespace
