@@ -144,6 +144,8 @@ void RandomForest::fit(const Dataset& data) {
   VIDUR_CHECK_MSG(data.size() > 0, "cannot fit a forest on an empty dataset");
   VIDUR_CHECK(options_.num_trees >= 1);
   trees_.clear();
+  cells_.clear();  // a refit that throws must not leave the old table
+  for (auto& t : thresholds_) t.clear();
   trees_.reserve(static_cast<std::size_t>(options_.num_trees));
   Rng rng(options_.seed);
   const std::size_t n = data.size();
@@ -156,9 +158,102 @@ void RandomForest::fit(const Dataset& data) {
     tree.fit_subset(data, rows);
     trees_.push_back(std::move(tree));
   }
+  num_features_ = data.num_features;
+  compile_step_table();
+}
+
+namespace {
+
+/// Interval of `x` among sorted thresholds: the count of thresholds t with
+/// !(x <= t). Those form a prefix of the sorted order (all of it for NaN).
+std::size_t interval_of(const std::vector<double>& thresholds, double x) {
+  return static_cast<std::size_t>(
+      std::partition_point(thresholds.begin(), thresholds.end(),
+                           [x](double t) { return !(x <= t); }) -
+      thresholds.begin());
+}
+
+}  // namespace
+
+void RandomForest::compile_step_table() {
+  if (num_features_ > 2) return;
+
+  std::vector<double> thresholds[2];
+  std::size_t node_bytes = 0;
+  for (const DecisionTree& tree : trees_) {
+    node_bytes += tree.nodes_.size() * sizeof(DecisionTree::Node);
+    for (const DecisionTree::Node& node : tree.nodes_)
+      if (node.feature >= 0)
+        thresholds[node.feature].push_back(node.threshold);
+  }
+  std::size_t num_cells = 1;
+  for (auto& t : thresholds) {
+    std::sort(t.begin(), t.end());
+    t.erase(std::unique(t.begin(), t.end()), t.end());
+    num_cells *= t.size() + 1;
+  }
+  if (num_cells * sizeof(double) > kMaxTableToNodeBytes * node_bytes) return;
+
+  // Every cell lies in exactly one leaf of each tree, so adding each leaf's
+  // value to the cells of its box, tree by tree, sums each cell's leaf
+  // values in the order predict_trees() adds them.
+  const std::size_t stride = thresholds[1].size() + 1;
+  std::vector<double> cells(num_cells, 0.0);
+  struct Box {
+    std::int32_t node;
+    std::size_t lo[2], hi[2];  // half-open interval ranges per feature
+  };
+  std::vector<Box> stack;
+  for (const DecisionTree& tree : trees_) {
+    stack.push_back({0, {0, 0}, {thresholds[0].size() + 1, stride}});
+    while (!stack.empty()) {
+      const Box box = stack.back();
+      stack.pop_back();
+      const DecisionTree::Node& node =
+          tree.nodes_[static_cast<std::size_t>(box.node)];
+      if (node.feature < 0) {
+        for (std::size_t i0 = box.lo[0]; i0 < box.hi[0]; ++i0)
+          for (std::size_t i1 = box.lo[1]; i1 < box.hi[1]; ++i1)
+            cells[i0 * stride + i1] += node.value;
+        continue;
+      }
+      // x <= threshold holds exactly on the intervals up to the threshold's
+      // own index, so the left child keeps those and the right the rest.
+      const auto f = static_cast<std::size_t>(node.feature);
+      const std::vector<double>& t = thresholds[f];
+      const std::size_t split =
+          static_cast<std::size_t>(
+              std::lower_bound(t.begin(), t.end(), node.threshold) -
+              t.begin()) +
+          1;
+      Box left = box, right = box;
+      left.node = node.left;
+      left.hi[f] = std::min(box.hi[f], split);
+      right.node = node.right;
+      right.lo[f] = std::max(box.lo[f], split);
+      stack.push_back(right);
+      stack.push_back(left);
+    }
+  }
+  for (double& v : cells) v /= static_cast<double>(trees_.size());
+
+  thresholds_[0] = std::move(thresholds[0]);
+  thresholds_[1] = std::move(thresholds[1]);
+  cells_ = std::move(cells);
 }
 
 double RandomForest::predict(const std::vector<double>& features) const {
+  if (!has_step_table()) return predict_trees(features);
+  VIDUR_CHECK(static_cast<int>(features.size()) == num_features_);
+  std::size_t cell = interval_of(thresholds_[0], features[0]);
+  if (num_features_ == 2)
+    cell = cell * (thresholds_[1].size() + 1) +
+           interval_of(thresholds_[1], features[1]);
+  return cells_[cell];
+}
+
+double RandomForest::predict_trees(
+    const std::vector<double>& features) const {
   VIDUR_CHECK_MSG(!trees_.empty(), "predict() before fit()");
   double sum = 0.0;
   for (const auto& tree : trees_) sum += tree.predict(features);

@@ -59,6 +59,8 @@ class DecisionTree final : public RegressionModel {
   std::size_t num_nodes() const { return nodes_.size(); }
 
  private:
+  friend class RandomForest;  // compiles its trees into a step table
+
   struct Node {
     int feature = -1;       // -1 for leaves
     double threshold = 0.0;
@@ -76,6 +78,15 @@ class DecisionTree final : public RegressionModel {
 };
 
 /// Bagged random forest of CART trees.
+///
+/// A forest over one or two features is piecewise constant on the grid its
+/// split thresholds cut, so fit() compiles it into a step table: per feature
+/// the sorted distinct thresholds of all trees, and one value per grid cell
+/// holding exactly what the tree walk computes there (the leaf values summed
+/// in tree order from 0.0, divided by the tree count). predict() then costs
+/// one binary search per feature instead of a walk down every tree, and
+/// returns the same bits. Forests over more features, or whose grid would
+/// outweigh kMaxTableToNodeBytes times their own node storage, keep walking.
 class RandomForest final : public RegressionModel {
  public:
   struct Options {
@@ -84,15 +95,33 @@ class RandomForest final : public RegressionModel {
     std::uint64_t seed = 0x5eedULL;
   };
 
+  /// Largest step table, as a multiple of the bytes the forest's nodes take.
+  static constexpr std::size_t kMaxTableToNodeBytes = 4;
+
   RandomForest() : RandomForest(Options{}) {}
   explicit RandomForest(Options options) : options_(options) {}
 
   void fit(const Dataset& data) override;
   double predict(const std::vector<double>& features) const override;
 
+  /// The tree walk: the reference the step table reproduces bit for bit.
+  double predict_trees(const std::vector<double>& features) const;
+
+  /// True when fit() compiled a step table that predict() reads.
+  bool has_step_table() const { return !cells_.empty(); }
+
  private:
+  void compile_step_table();
+
   Options options_;
   std::vector<DecisionTree> trees_;
+  int num_features_ = 0;
+  /// Step table (empty when not compiled): sorted distinct split thresholds
+  /// per feature, and the cells in row-major order with feature 0 the slow
+  /// axis. A feature's interval is the count of its thresholds t with
+  /// !(x <= t), which sends NaN right at every split, as the trees do.
+  std::vector<double> thresholds_[2];
+  std::vector<double> cells_;
 };
 
 /// Ridge regression on polynomial feature expansion (degree <= 3).

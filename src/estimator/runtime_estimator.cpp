@@ -1,9 +1,12 @@
 #include "estimator/runtime_estimator.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <exception>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace vidur {
 
@@ -18,15 +21,31 @@ long round_to(long value, long granule) {
 
 RuntimeEstimator::RuntimeEstimator(const ProfileDb& db, Options options)
     : options_(options) {
-  std::uint64_t seed = options_.seed;
-  for (const ProfileKey& key : db.keys()) {
-    Dataset data;
-    for (const ProfilePoint& p : db.points(key)) data.add(p.features, p.runtime);
-    auto model = make_regression_model(options_.kind, seed++);
-    model->fit(data);
-    models_[key] = std::move(model);
+  const std::vector<ProfileKey> keys = db.keys();
+  VIDUR_CHECK_MSG(!keys.empty(), "profile database is empty");
+  // Pool tasks must not throw: each records its own failure, and the first
+  // one in key order is rethrown once the pool has drained.
+  std::vector<std::unique_ptr<RegressionModel>> models(keys.size());
+  std::vector<std::exception_ptr> errors(keys.size());
+  {
+    ThreadPool pool(std::min<std::size_t>(hardware_threads(), keys.size()));
+    parallel_for(pool, keys.size(), [&](std::size_t i) {
+      try {
+        Dataset data;
+        for (const ProfilePoint& p : db.points(keys[i]))
+          data.add(p.features, p.runtime);
+        auto model = make_regression_model(options_.kind, options_.seed + i);
+        model->fit(data);
+        models[i] = std::move(model);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
   }
-  VIDUR_CHECK_MSG(!models_.empty(), "profile database is empty");
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    models_.emplace(keys[i], std::move(models[i]));
 
   const std::size_t capacity =
       std::bit_ceil(std::max<std::size_t>(options_.cache_slots, 64));
@@ -51,19 +70,21 @@ OpInput RuntimeEstimator::quantize(OpType op, OpInput in) const {
   return in;
 }
 
-std::uint64_t RuntimeEstimator::cache_key(OpType op, int shard,
-                                          const OpInput& in) const {
-  // Layout: [op:6][shard:6][f0:28][f1:24]; inputs far exceeding the packed
-  // range would alias, so widths are chosen to cover the simulator's domain
-  // (f0 < 2^28 covers byte counts after 4K quantization). Op ids stay far
-  // below 62, so packed keys can never collide with the slot sentinels.
+std::optional<std::uint64_t> RuntimeEstimator::cache_key(
+    OpType op, int shard, const OpInput& in) const {
+  // Layout: [op:6][shard:6][f0:28][f1:24]. An input that overflows a field
+  // gets no key: masking it would alias a smaller input (a 2^28-byte
+  // collective is reached at 16,384 tokens of an 8,192-wide model). Op ids
+  // stay far below 62, so packed keys never collide with the slot sentinels.
   const auto [raw0, raw1] = in.key_features(op);
   const auto f0 = static_cast<std::uint64_t>(raw0 < 0 ? 0 : raw0);
   const auto f1 = static_cast<std::uint64_t>(raw1 < 0 ? 0 : raw1);
+  const auto s = static_cast<std::uint64_t>(shard);  // negative: overflows
+  if (s >> 6 != 0 || f0 >> 28 != 0 || f1 >> 24 != 0) return std::nullopt;
   std::uint64_t key = static_cast<std::uint64_t>(op) & 0x3f;
-  key = (key << 6) | (static_cast<std::uint64_t>(shard) & 0x3f);
-  key = (key << 28) | (f0 & 0xfffffff);
-  key = (key << 24) | (f1 & 0xffffff);
+  key = (key << 6) | s;
+  key = (key << 28) | f0;
+  key = (key << 24) | f1;
   return key;
 }
 
@@ -112,18 +133,19 @@ void RuntimeEstimator::cache_insert(std::uint64_t key, double value) const {
 double RuntimeEstimator::predict(OpType op, int shard,
                                  const OpInput& in) const {
   const OpInput q = quantize(op, in);
-  const std::uint64_t key = cache_key(op, shard, q);
+  const std::optional<std::uint64_t> key = cache_key(op, shard, q);
   // One lookup per call, counted unconditionally; misses are derived as
   // lookups - hits so hits + misses == lookups is an identity rather than
   // an invariant two racing counters could drift away from.
   cache_lookups_.fetch_add(1, std::memory_order_relaxed);
+  if (!key) return predict_uncached(op, shard, q);  // a miss, uncacheable
   double value;
-  if (cache_lookup(key, &value)) {
+  if (cache_lookup(*key, &value)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     return value;
   }
   value = predict_uncached(op, shard, q);
-  cache_insert(key, value);
+  cache_insert(*key, value);
   return value;
 }
 

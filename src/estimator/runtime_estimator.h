@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "estimator/regression.h"
 #include "profiler/profile_db.h"
@@ -33,12 +34,17 @@ class RuntimeEstimator {
     long comm_bytes_rounding = 4096;
     /// Slots in the open-addressing prediction cache (rounded up to a power
     /// of two). Inserts stop at 50% load; further misses recompute. The
-    /// quantized key space of a simulation is a few thousand entries, so the
-    /// default never saturates in practice.
+    /// default does saturate: perfbench's `fleet-rr` (64-replica fleet) and
+    /// `search` (Vidur-Search sweep) workloads fill all 32,768 insertable
+    /// entries, while `session-cache` stops at 9,439. A miss past the cap
+    /// costs one step-table read for every operator but prefill attention.
     std::size_t cache_slots = 1 << 16;
   };
 
-  /// Trains all per-operator models from the profile database.
+  /// Trains all per-operator models from the profile database, in parallel
+  /// on hardware_threads() workers. Model i in db.keys() order is seeded
+  /// with options.seed + i, so the models do not depend on the thread
+  /// count. The first fit failure in key order is rethrown.
   explicit RuntimeEstimator(const ProfileDb& db) : RuntimeEstimator(db, Options{}) {}
   RuntimeEstimator(const ProfileDb& db, Options options);
 
@@ -65,7 +71,8 @@ class RuntimeEstimator {
   std::size_t cache_size() const {
     return cache_used_.load(std::memory_order_relaxed);
   }
-  /// Calls into predict() — exactly one per call, hit or miss.
+  /// Calls into predict() — exactly one per call, hit or miss. A call whose
+  /// input does not fit the packed key skips the cache and counts as a miss.
   std::size_t cache_lookups() const {
     return cache_lookups_.load(std::memory_order_relaxed);
   }
@@ -108,7 +115,10 @@ class RuntimeEstimator {
 
   /// Quantize inputs so near-identical queries share a cache entry.
   OpInput quantize(OpType op, OpInput in) const;
-  std::uint64_t cache_key(OpType op, int shard, const OpInput& in) const;
+  /// The packed cache key, or nullopt when the shard or a key feature
+  /// overflows its field (packing it would alias a smaller input).
+  std::optional<std::uint64_t> cache_key(OpType op, int shard,
+                                         const OpInput& in) const;
 
   bool cache_lookup(std::uint64_t key, double* value) const;
   void cache_insert(std::uint64_t key, double value) const;

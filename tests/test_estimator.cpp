@@ -2,8 +2,13 @@
 // ridge polynomial, 1-NN) and the caching RuntimeEstimator facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "estimator/regression.h"
@@ -132,6 +137,175 @@ TEST(RandomForest, DeterministicForSeed) {
 TEST(RandomForest, PredictBeforeFitThrows) {
   RandomForest forest;
   EXPECT_THROW(forest.predict({1.0}), Error);
+}
+
+// ------------------------------------------------------ forest step table
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The bagged forest written out: bootstrap rows drawn as RandomForest::fit
+/// draws them, one CART tree per draw, leaf values summed in tree order from
+/// 0.0 and divided by the tree count.
+class BaggedTrees {
+ public:
+  BaggedTrees(const Dataset& d, const RandomForest::Options& o) {
+    Rng rng(o.seed);
+    std::vector<std::size_t> rows(d.size());
+    for (int t = 0; t < o.num_trees; ++t) {
+      for (auto& r : rows)
+        r = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(d.size()) - 1));
+      trees_.emplace_back(o.tree);
+      trees_.back().fit_subset(d, rows);
+    }
+  }
+
+  double predict(const std::vector<double>& x) const {
+    double sum = 0.0;
+    for (const DecisionTree& tree : trees_) sum += tree.predict(x);
+    return sum / static_cast<double>(trees_.size());
+  }
+
+ private:
+  std::vector<DecisionTree> trees_;
+};
+
+/// Random rows over a few levels per feature (heavy ties, midpoints that
+/// round), a fourth of them repeated verbatim, with targets drawn from
+/// `target_levels` values (1: a constant target, so single-leaf trees).
+Dataset tied_dataset(std::uint64_t seed, int num_features, int levels,
+                     int target_levels, std::size_t n) {
+  Rng rng(seed);
+  Dataset d;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x;
+    for (int f = 0; f < num_features; ++f)
+      x.push_back(0.1 * (f + 1) *
+                  static_cast<double>(rng.uniform_int(0, levels - 1)));
+    d.add(x, 1e-5 * static_cast<double>(rng.uniform_int(1, target_levels)));
+  }
+  for (std::size_t i = 0; i < n / 4; ++i)
+    d.add(std::vector<double>(d.row(i), d.row(i) + num_features), d.y[i]);
+  return d;
+}
+
+/// Probe values along feature `f`: every midpoint a tree could split at
+/// (0.5 * (a + b) over each pair of distinct training values, the tree's own
+/// arithmetic), the training values, one ULP either side of each, values
+/// beyond both ends, +-inf and NaN.
+std::vector<double> probes_along(const Dataset& d, int f) {
+  std::vector<double> values;
+  for (std::size_t i = 0; i < d.size(); ++i) values.push_back(d.row(i)[f]);
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> out = {values.front() - 1.0, values.back() + 1.0,
+                             kInf, -kInf,
+                             std::numeric_limits<double>::quiet_NaN()};
+  auto add = [&](double v) {
+    out.push_back(v);
+    out.push_back(std::nextafter(v, -kInf));
+    out.push_back(std::nextafter(v, kInf));
+  };
+  for (std::size_t a = 0; a < values.size(); ++a) {
+    add(values[a]);
+    for (std::size_t b = a + 1; b < values.size(); ++b)
+      add(0.5 * (values[a] + values[b]));
+  }
+  return out;
+}
+
+/// Every combination of per-feature probes (one or two features).
+std::vector<std::vector<double>> probe_grid(const Dataset& d) {
+  std::vector<std::vector<double>> out;
+  const std::vector<double> p0 = probes_along(d, 0);
+  if (d.num_features == 1) {
+    for (double x0 : p0) out.push_back({x0});
+    return out;
+  }
+  const std::vector<double> p1 = probes_along(d, 1);
+  for (double x0 : p0)
+    for (double x1 : p1) out.push_back({x0, x1});
+  return out;
+}
+
+/// Counts probes where the forest's predict() differs in any bit from the
+/// tree walk or from the written-out bagged forest.
+std::size_t count_bit_mismatches(
+    const RandomForest& forest, const BaggedTrees& reference,
+    const std::vector<std::vector<double>>& probes) {
+  std::size_t mismatches = 0;
+  for (const auto& x : probes) {
+    const std::uint64_t got = bits(forest.predict(x));
+    if (got != bits(forest.predict_trees(x)) ||
+        got != bits(reference.predict(x)))
+      ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(RandomForestStepTable, MatchesTreeWalkBitForBit) {
+  // 1-D: 25 levels over 80 rows; 2-D: 10 levels per feature over 150 rows
+  // (fewer levels keep the probe grid small).
+  for (const int num_features : {1, 2}) {
+    const int levels = num_features == 1 ? 25 : 10;
+    const std::size_t rows = num_features == 1 ? 80 : 150;
+    for (const int target_levels : {1, 3, 1000}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const Dataset d =
+            tied_dataset(seed, num_features, levels, target_levels, rows);
+        const RandomForest::Options o{.num_trees = 32, .tree = {},
+                                      .seed = seed};
+        RandomForest forest(o);
+        forest.fit(d);
+        ASSERT_TRUE(forest.has_step_table());
+        EXPECT_EQ(
+            count_bit_mismatches(forest, BaggedTrees(d, o), probe_grid(d)),
+            0u)
+            << num_features << "-D, seed " << seed << ", " << target_levels
+            << " target levels";
+      }
+    }
+  }
+}
+
+TEST(RandomForestStepTable, OversizedTwoFeatureGridKeepsTheTreeWalk) {
+  // Continuous features and targets: every tree splits at its own
+  // midpoints, so the grid of all thresholds outgrows the nodes.
+  Rng rng(7);
+  Dataset d;
+  for (int i = 0; i < 400; ++i)
+    d.add({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)}, rng.uniform());
+  const RandomForest::Options o{.num_trees = 32, .tree = {}, .seed = 3};
+  RandomForest forest(o);
+  forest.fit(d);
+  EXPECT_FALSE(forest.has_step_table());
+  std::vector<std::vector<double>> probes;
+  for (std::size_t i = 0; i < d.size(); ++i)
+    probes.push_back({d.row(i)[0], d.row(i)[1]});
+  for (int i = 0; i < 2000; ++i)
+    probes.push_back({rng.uniform(-10.0, 110.0), rng.uniform(-10.0, 110.0)});
+  EXPECT_EQ(count_bit_mismatches(forest, BaggedTrees(d, o), probes), 0u);
+}
+
+TEST(RandomForestStepTable, KeepsMisuseChecks) {
+  const Dataset one = tied_dataset(1, 1, 10, 5, 40);
+  RandomForest forest;
+  forest.fit(one);
+  ASSERT_TRUE(forest.has_step_table());
+  EXPECT_THROW(forest.predict({}), Error);
+  EXPECT_THROW(forest.predict({1.0, 2.0}), Error);
+  const Dataset two = tied_dataset(1, 2, 10, 5, 40);
+  forest.fit(two);  // refit replaces the table
+  ASSERT_TRUE(forest.has_step_table());
+  EXPECT_THROW(forest.predict({1.0}), Error);
+  EXPECT_EQ(bits(forest.predict({0.3, 0.4})),
+            bits(forest.predict_trees({0.3, 0.4})));
+  Dataset no_features;
+  no_features.add({}, 1.0);
+  EXPECT_THROW(forest.fit(no_features), Error);
+  EXPECT_FALSE(forest.has_step_table());  // the failed refit drops the table
+  EXPECT_THROW(forest.predict({0.3, 0.4}), Error);
 }
 
 // ----------------------------------------------------------------- ridge
@@ -414,6 +588,163 @@ TEST_F(RuntimeEstimatorTest, HeldOutMapeSmall) {
   double mape = est.evaluate_mape({OpType::kAttnDecode, 1},
                                   db().points({OpType::kAttnDecode, 1}));
   EXPECT_LT(mape, 0.10);
+}
+
+TEST_F(RuntimeEstimatorTest, OversizedCollectiveDoesNotAliasSmallerOne) {
+  // The packed key keeps 28 bits of the byte count: a 2^28 + 256 KiB
+  // all-reduce used to share the key of a 256 KiB one and return its value.
+  const RuntimeEstimator est(db());
+  OpInput small, big;
+  small.bytes = 256 << 10;
+  big.bytes = (1L << 28) + (256 << 10);
+  const double small_time = est.predict(OpType::kAllReduce, 2, small);
+  const double big_time = est.predict(OpType::kAllReduce, 2, big);
+  EXPECT_EQ(bits(big_time),
+            bits(est.predict_uncached(OpType::kAllReduce, 2, big)));
+  EXPECT_GT(big_time, small_time);
+  // The oversized call skips the cache: one lookup, one miss, no entry.
+  EXPECT_EQ(bits(est.predict(OpType::kAllReduce, 2, big)), bits(big_time));
+  EXPECT_EQ(est.cache_lookups(), 3u);
+  EXPECT_EQ(est.cache_hits(), 0u);
+  EXPECT_EQ(est.cache_misses(), 3u);
+  EXPECT_EQ(est.cache_size(), 1u);
+}
+
+TEST_F(RuntimeEstimatorTest, SaturatedCacheStaysExact) {
+  // 64 slots cap inserts at 32 entries; every later miss recomputes.
+  RuntimeEstimator::Options options;
+  options.cache_slots = 64;
+  const RuntimeEstimator est(db(), options);
+  constexpr int kKeys = 200;
+  std::size_t mismatches = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int k = 0; k < kKeys; ++k) {
+      OpInput in;
+      in.tokens = 1 + 17 * k;
+      if (bits(est.predict(OpType::kMlpGateUpProj, 1, in)) !=
+          bits(est.predict_uncached(OpType::kMlpGateUpProj, 1, in)))
+        ++mismatches;
+    }
+    EXPECT_EQ(est.cache_size(), 32u);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(est.cache_lookups(), 2u * kKeys);
+  EXPECT_EQ(est.cache_hits(), 32u);  // the second pass hits what fit
+  EXPECT_EQ(est.cache_hits() + est.cache_misses(), est.cache_lookups());
+}
+
+/// A random integer input exercising every field any operator reads.
+OpInput random_input(Rng& rng) {
+  OpInput in;
+  in.tokens = rng.uniform_int(0, 8192);
+  in.q_tokens = rng.uniform_int(0, 8192);
+  in.kv_tokens = in.q_tokens + rng.uniform_int(0, 1 << 16);
+  in.batch_size = static_cast<int>(rng.uniform_int(0, 300));
+  in.bytes = rng.uniform_int(0, 1L << 26);
+  return in;
+}
+
+/// The input a profiled point's features were computed from.
+OpInput input_of(OpType op, const std::vector<double>& f) {
+  OpInput in;
+  in.tokens = static_cast<long>(f[0]);
+  in.bytes = static_cast<long>(f[0]);
+  if (op == OpType::kAttnPrefill) {
+    in.q_tokens = static_cast<long>(f[0]);
+    in.kv_tokens = static_cast<long>(f[1]);
+  } else if (op == OpType::kAttnDecode) {
+    in.kv_tokens = static_cast<long>(f[0]);
+    in.batch_size = static_cast<int>(f[1]);
+  }
+  return in;
+}
+
+/// Profiled points of `key` plus random integer inputs.
+std::vector<OpInput> inputs_for(const ProfileDb& db, const ProfileKey& key,
+                                Rng& rng) {
+  std::vector<OpInput> out;
+  for (const ProfilePoint& p : db.points(key))
+    out.push_back(input_of(key.op, p.features));
+  for (int i = 0; i < 300; ++i) out.push_back(random_input(rng));
+  return out;
+}
+
+Dataset dataset_of(const ProfileDb& db, const ProfileKey& key) {
+  Dataset d;
+  for (const ProfilePoint& p : db.points(key)) d.add(p.features, p.runtime);
+  return d;
+}
+
+TEST_F(RuntimeEstimatorTest, EveryModelsStepTableMatchesTreeWalk) {
+  // Every forest but prefill attention's (three features) compiles, and the
+  // table reads the tree walk's bits on the profiled and random inputs.
+  // Prefill keeps walking its trees and equals the written-out forest.
+  const std::uint64_t base_seed = RuntimeEstimator::Options{}.seed;
+  const std::vector<ProfileKey> keys = db().keys();
+  Rng rng(11);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const RandomForest::Options o{.num_trees = 32, .tree = {},
+                                  .seed = base_seed + i};
+    RandomForest forest(o);
+    forest.fit(dataset_of(db(), keys[i]));
+    EXPECT_EQ(forest.has_step_table(), keys[i].op != OpType::kAttnPrefill)
+        << op_name(keys[i].op);
+    std::vector<std::vector<double>> probes;
+    for (const OpInput& in : inputs_for(db(), keys[i], rng))
+      probes.push_back(in.features(keys[i].op));
+    const BaggedTrees reference(dataset_of(db(), keys[i]), o);
+    EXPECT_EQ(count_bit_mismatches(forest, reference, probes), 0u)
+        << op_name(keys[i].op) << " shard " << keys[i].shard;
+  }
+}
+
+TEST_F(RuntimeEstimatorTest, ParallelOnboardingMatchesSerialFits) {
+  // Model i is seeded options.seed + i however the pool schedules the fits:
+  // two estimators agree, and each model equals a serial fit.
+  const RuntimeEstimator a(db());
+  const RuntimeEstimator b(db());
+  const std::vector<ProfileKey> keys = db().keys();
+  Rng rng(5);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const OpType op = keys[i].op;
+    const int shard = keys[i].shard;
+    auto serial = make_regression_model(a.options().kind,
+                                        a.options().seed + i);
+    serial->fit(dataset_of(db(), keys[i]));
+    std::size_t mismatches = 0;
+    for (const OpInput& in : inputs_for(db(), keys[i], rng)) {
+      const std::uint64_t got = bits(a.predict_uncached(op, shard, in));
+      const double want = std::max(serial->predict(in.features(op)), 1e-7);
+      if (got != bits(b.predict_uncached(op, shard, in)) ||
+          got != bits(want))
+        ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << op_name(op) << " shard " << shard;
+  }
+}
+
+TEST(EstimatorOnboarding, FitFailureThrowsErrorFromTheConstructor) {
+  // Pool tasks must not throw: the constructor rethrows a fit's failure
+  // after the pool drains, the first one in key order.
+  RuntimeEstimator::Options options;
+  options.kind = EstimatorKind::kMlp;
+  ProfileDb db;
+  for (double t = 1; t <= 8; ++t) {
+    db.add({OpType::kRmsNorm, 1}, {{t}, 1e-5 * t});
+    db.add({OpType::kActMul, 1}, {{t}, t == 4 ? 0.0 : 1e-5 * t});
+  }
+  EXPECT_THROW((RuntimeEstimator{db, options}), Error);
+
+  db.add({OpType::kAttnQkvProj, 1}, {{1.0}, 1e-5});
+  db.add({OpType::kAttnQkvProj, 1}, {{2.0, 3.0}, 2e-5});
+  try {
+    const RuntimeEstimator est(db, options);
+    ADD_FAILURE() << "constructor did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("inconsistent feature width"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EmptyProfile, EstimatorRejectsEmptyDb) {
