@@ -11,9 +11,10 @@ namespace {
 constexpr std::uint64_t kChainSeed = 0x56494455525f4b56ULL;  // "VIDUR_KV"
 constexpr std::uint64_t kSharedPrefixTag = 0x51;
 constexpr std::uint64_t kSessionTag = 0x52;
+constexpr int kIndexMinBits = 4;
 
-/// splitmix64-style combiner; never returns 0 so callers can use 0 as the
-/// "not shareable" sentinel.
+/// splitmix64-style combiner. Always odd, so never 0: callers use 0 as
+/// the "not shareable" sentinel and the chain index as its empty key.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   std::uint64_t x = a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
   x ^= x >> 30;
@@ -29,6 +30,61 @@ std::uint64_t mix3(std::uint64_t tag, std::uint64_t id, std::uint64_t depth) {
 }
 
 }  // namespace
+
+// ------------------------------------------------------------ chain index
+
+PrefixCache::ChainIndex::ChainIndex()
+    : entries_(std::size_t{1} << kIndexMinBits),
+      mask_((std::size_t{1} << kIndexMinBits) - 1),
+      shift_(64 - kIndexMinBits) {}
+
+PrefixCache::Slot PrefixCache::ChainIndex::find(std::uint64_t chain) const {
+  for (std::size_t i = home(chain);; i = (i + 1) & mask_) {
+    const Entry& e = entries_[i];
+    if (e.chain == chain) return e.slot;
+    if (e.chain == 0) return kNoSlot;
+  }
+}
+
+void PrefixCache::ChainIndex::insert(std::uint64_t chain, Slot slot) {
+  if (2 * (size_ + 1) > entries_.size()) grow();
+  place(Entry{chain, slot});
+  ++size_;
+}
+
+void PrefixCache::ChainIndex::erase(std::uint64_t chain) {
+  std::size_t hole = home(chain);
+  while (entries_[hole].chain != chain) hole = (hole + 1) & mask_;
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home lies cyclically in (hole, j], where it must stay.
+  for (std::size_t j = (hole + 1) & mask_; entries_[j].chain != 0;
+       j = (j + 1) & mask_) {
+    const std::size_t h = home(entries_[j].chain);
+    if (((j - h) & mask_) >= ((j - hole) & mask_)) {
+      entries_[hole] = entries_[j];
+      hole = j;
+    }
+  }
+  entries_[hole] = Entry{};
+  --size_;
+}
+
+void PrefixCache::ChainIndex::grow() {
+  std::vector<Entry> old(entries_.size() * 2);
+  old.swap(entries_);
+  mask_ = entries_.size() - 1;
+  --shift_;
+  for (const Entry& e : old)
+    if (e.chain != 0) place(e);
+}
+
+void PrefixCache::ChainIndex::place(const Entry& entry) {
+  std::size_t i = home(entry.chain);
+  while (entries_[i].chain != 0) i = (i + 1) & mask_;
+  entries_[i] = entry;
+}
+
+// ------------------------------------------------------------ prefix cache
 
 PrefixCache::PrefixCache(long capacity_blocks, TokenCount block_size)
     : capacity_blocks_(capacity_blocks), block_size_(block_size) {
@@ -56,7 +112,7 @@ std::uint64_t PrefixCache::block_content(const Request& request,
 }
 
 long PrefixCache::match_blocks(const Request& request,
-                               std::uint64_t* last_chain) const {
+                               std::vector<Slot>* slots) const {
   // At least one prompt token must stay cold: the batch that "computes"
   // the request needs a non-empty prefill to emit the first token from.
   const long max_blocks = request.prefill_tokens <= 0
@@ -69,9 +125,10 @@ long PrefixCache::match_blocks(const Request& request,
         block_content(request, static_cast<int>(d));
     if (content == 0) break;
     chain = mix(chain, content);
-    if (blocks_.find(chain) == blocks_.end()) break;
+    const Slot slot = index_.find(chain);
+    if (slot == kNoSlot) break;
     ++matched;
-    if (last_chain != nullptr) *last_chain = chain;
+    if (slots != nullptr) slots->push_back(slot);
   }
   return matched;
 }
@@ -81,22 +138,8 @@ TokenCount PrefixCache::probe(const Request& request) const {
 }
 
 TokenCount PrefixCache::attach(const Request& request) {
-  const long max_blocks = request.prefill_tokens <= 0
-                              ? 0
-                              : (request.prefill_tokens - 1) / block_size_;
-  std::uint64_t chain = kChainSeed;
-  std::vector<std::uint64_t> matched;
-  for (long d = 0; d < max_blocks; ++d) {
-    const std::uint64_t content =
-        block_content(request, static_cast<int>(d));
-    if (content == 0) break;
-    chain = mix(chain, content);
-    if (blocks_.find(chain) == blocks_.end()) break;
-    matched.push_back(chain);
-  }
-
-  const TokenCount tokens = static_cast<TokenCount>(matched.size()) *
-                            block_size_;
+  std::vector<Slot> matched;
+  const TokenCount tokens = match_blocks(request, &matched) * block_size_;
   PrefixCacheStats& tenant = tenant_stats_[request.tenant];
   ++stats_.lookups;
   ++tenant.lookups;
@@ -110,10 +153,9 @@ TokenCount PrefixCache::attach(const Request& request) {
   stats_.tokens_saved += tokens;
   tenant.tokens_saved += tokens;
 
-  for (const std::uint64_t c : matched) {
-    Block& block = blocks_.at(c);
-    if (block.refs == 0 && block.children == 0)
-      evictable_.erase(block.lru_seq);
+  for (const Slot s : matched) {
+    Block& block = slab_[s];
+    if (block.refs == 0 && block.children == 0) unlink(s);
     ++block.refs;
   }
   pins_[request.id] = std::move(matched);
@@ -123,12 +165,10 @@ TokenCount PrefixCache::attach(const Request& request) {
 void PrefixCache::unpin(RequestId request) {
   auto it = pins_.find(request);
   if (it == pins_.end()) return;
-  for (const std::uint64_t c : it->second) {
-    auto bit = blocks_.find(c);
-    if (bit == blocks_.end()) continue;  // pinned blocks are never evicted
-    Block& block = bit->second;
+  for (const Slot s : it->second) {
+    Block& block = slab_[s];
     --block.refs;
-    if (block.refs == 0 && block.children == 0) make_evictable(block);
+    if (block.refs == 0 && block.children == 0) make_evictable(s);
   }
   pins_.erase(it);
 }
@@ -160,42 +200,50 @@ long PrefixCache::retain(const Request& request, TokenCount kv_end,
         block_content(request, static_cast<int>(d));
     if (content == 0) break;
     const std::uint64_t child = mix(parent_chain, content);
-    auto it = blocks_.find(child);
-    if (it != blocks_.end()) {
+    if (index_.find(child) != kNoSlot) {
       // Already resident (another request of the same group/session beat
       // us to it); the caller still owns — and will release — its copy.
+      // If it is an unpinned leaf, the room loop below may evict it on a
+      // later iteration, and the next block then goes in unlinked.
       parent_chain = child;
       continue;
     }
     // Make room, but never by evicting a block this call just inserted.
     bool room = true;
     while (resident_blocks() >= capacity_blocks_) {
-      if (evictable_.empty() ||
-          evictable_.begin()->first >= call_start_seq) {
+      if (lru_head_ == kNoSlot ||
+          slab_[lru_head_].lru_seq >= call_start_seq) {
         room = false;
         break;
       }
-      evict_block(evictable_.begin()->second);
+      evict_block(lru_head_);
       bm.release_cached(1);
     }
     if (!room) break;
 
-    Block block;
+    if (d > 0) {
+      const Slot p = index_.find(parent_chain);
+      if (p != kNoSlot) {
+        Block& parent = slab_[p];
+        if (parent.refs == 0 && parent.children == 0) unlink(p);
+        ++parent.children;
+      }
+    }
+    Slot s;
+    if (free_slots_.empty()) {
+      s = static_cast<Slot>(slab_.size());
+      slab_.emplace_back();
+    } else {
+      s = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    Block& block = slab_[s];
     block.chain = child;
     block.parent = parent_chain;
     block.depth = static_cast<int>(d);
     block.session = request.session;
-    if (d > 0) {
-      auto pit = blocks_.find(parent_chain);
-      if (pit != blocks_.end()) {
-        Block& parent = pit->second;
-        if (parent.refs == 0 && parent.children == 0)
-          evictable_.erase(parent.lru_seq);
-        ++parent.children;
-      }
-    }
-    make_evictable(blocks_.emplace(child, block).first->second);
-    note_session_delta(request.session, +1);
+    index_.insert(child, s);
+    make_evictable(s);
     ++stats_.inserted_blocks;
     ++inserted;
     parent_chain = child;
@@ -206,48 +254,73 @@ long PrefixCache::retain(const Request& request, TokenCount kv_end,
 
 long PrefixCache::reclaim(long want, BlockManager& bm) {
   long evicted = 0;
-  while (evicted < want && !evictable_.empty()) {
-    evict_block(evictable_.begin()->second);
+  while (evicted < want && lru_head_ != kNoSlot) {
+    evict_block(lru_head_);
     bm.release_cached(1);
     ++evicted;
   }
   return evicted;
 }
 
-void PrefixCache::make_evictable(Block& block) {
-  block.lru_seq = next_seq_++;
-  evictable_[block.lru_seq] = block.chain;
+std::vector<std::int64_t> PrefixCache::resident_session_ids() const {
+  std::vector<std::int64_t> ids;
+  for (const Block& block : slab_)
+    if (block.chain != 0 && block.session >= 0) ids.push_back(block.session);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
-void PrefixCache::evict_block(std::uint64_t chain) {
-  auto it = blocks_.find(chain);
-  VIDUR_CHECK_MSG(it != blocks_.end(), "evicting a non-resident block");
-  const Block block = it->second;
+void PrefixCache::make_evictable(Slot slot) {
+  unlink(slot);  // keeps the list well-formed if it is already on it
+  Block& block = slab_[slot];
+  block.lru_seq = next_seq_++;
+  block.lru_prev = lru_tail_;
+  block.lru_next = kNoSlot;
+  if (lru_tail_ == kNoSlot)
+    lru_head_ = slot;
+  else
+    slab_[lru_tail_].lru_next = slot;
+  lru_tail_ = slot;
+  ++evictable_;
+}
+
+void PrefixCache::unlink(Slot slot) {
+  Block& block = slab_[slot];
+  if (block.lru_seq == 0) return;
+  if (block.lru_prev == kNoSlot)
+    lru_head_ = block.lru_next;
+  else
+    slab_[block.lru_prev].lru_next = block.lru_next;
+  if (block.lru_next == kNoSlot)
+    lru_tail_ = block.lru_prev;
+  else
+    slab_[block.lru_next].lru_prev = block.lru_prev;
+  block.lru_seq = 0;
+  block.lru_prev = block.lru_next = kNoSlot;
+  --evictable_;
+}
+
+void PrefixCache::evict_block(Slot slot) {
+  const Block block = slab_[slot];
+  VIDUR_CHECK_MSG(block.chain != 0, "evicting a non-resident block");
   VIDUR_CHECK_MSG(block.refs == 0 && block.children == 0,
                   "evicting a pinned or interior block");
-  evictable_.erase(block.lru_seq);
-  blocks_.erase(it);
+  unlink(slot);
+  index_.erase(block.chain);
+  slab_[slot] = Block{};
+  free_slots_.push_back(slot);
   if (block.depth > 0) {
-    auto pit = blocks_.find(block.parent);
-    if (pit != blocks_.end()) {
-      Block& parent = pit->second;
+    // By chain, not by slot: a block inserted after its parent was
+    // evicted holds no link, and its parent chain may be resident again.
+    const Slot p = index_.find(block.parent);
+    if (p != kNoSlot) {
+      Block& parent = slab_[p];
       --parent.children;
-      if (parent.refs == 0 && parent.children == 0) make_evictable(parent);
+      if (parent.refs == 0 && parent.children == 0) make_evictable(p);
     }
   }
-  note_session_delta(block.session, -1);
   ++stats_.evicted_blocks;
-}
-
-void PrefixCache::note_session_delta(std::int64_t session, long delta) {
-  if (session < 0) return;
-  auto it = session_blocks_.find(session);
-  if (it == session_blocks_.end()) {
-    if (delta > 0) session_blocks_[session] = delta;
-    return;
-  }
-  it->second += delta;
-  if (it->second <= 0) session_blocks_.erase(it);
 }
 
 }  // namespace vidur

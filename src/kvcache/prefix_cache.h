@@ -9,10 +9,18 @@
 // while any request reads them, and are evicted LRU-leaf-first when the
 // pool exceeds its capacity or an active request needs the memory back.
 //
+// Layout: blocks live in a slab (a vector plus a free list of slot
+// indices), an open-addressing index maps each resident chain hash to its
+// slot, and the LRU over unpinned leaves is a doubly-linked list threaded
+// through the slab. Lookup, insertion, eviction and every LRU update are
+// O(1) expected, with no per-block node allocation.
+//
 // Determinism: eviction order is a strict LRU sequence number (no clocks,
-// no pointers), so same-seed replays are bit-identical.
+// no pointers), so same-seed replays are bit-identical. Nothing iterates
+// the index, so its layout never reaches a result.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -34,6 +42,8 @@ struct PrefixCacheStats {
   std::uint64_t inserted_blocks = 0;
   std::uint64_t evicted_blocks = 0;
   TokenCount tokens_saved = 0;
+
+  bool operator==(const PrefixCacheStats&) const = default;
 };
 
 class PrefixCache {
@@ -72,12 +82,17 @@ class PrefixCache {
   long reclaim(long want, BlockManager& bm);
 
   long capacity_blocks() const { return capacity_blocks_; }
-  long resident_blocks() const { return static_cast<long>(blocks_.size()); }
-  long evictable_blocks() const { return static_cast<long>(evictable_.size()); }
+  long resident_blocks() const {
+    return static_cast<long>(slab_.size() - free_slots_.size());
+  }
+  long evictable_blocks() const { return evictable_; }
   /// Sessions with at least one resident block on this replica.
   long resident_sessions() const {
-    return static_cast<long>(session_blocks_.size());
+    return static_cast<long>(resident_session_ids().size());
   }
+  /// Ids of those sessions, ascending. Walks the slab: meant for the end
+  /// of a run, not the per-request path.
+  std::vector<std::int64_t> resident_session_ids() const;
 
   const PrefixCacheStats& stats() const { return stats_; }
   /// Per-tenant slices, keyed by tenant id (ordered for determinism).
@@ -86,35 +101,80 @@ class PrefixCache {
   }
 
  private:
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
+
   struct Block {
-    std::uint64_t chain = 0;   ///< hash of the full prefix through this block
+    std::uint64_t chain = 0;   ///< hash of the full prefix; 0 = free slot
     std::uint64_t parent = 0;  ///< chain of the previous block (depth > 0)
-    int depth = 0;             ///< block index within the prefix
+    std::uint64_t lru_seq = 0;  ///< nonzero exactly while on the LRU list
     std::int64_t session = -1;
+    int depth = 0;     ///< block index within the prefix
     int refs = 0;      ///< active requests reading this block
-    int children = 0;  ///< resident blocks whose parent is this block
-    std::uint64_t lru_seq = 0;  ///< meaningful only while evictable
+    int children = 0;  ///< resident blocks linked to this one as parent
+    Slot lru_prev = kNoSlot;  ///< towards the LRU head (older)
+    Slot lru_next = kNoSlot;  ///< towards the LRU tail (newer)
+  };
+
+  /// Open-addressing map chain hash -> slot. Linear probing over a
+  /// power-of-two table grown at half load; deletion shifts the probe run
+  /// back, so there are no tombstones. Chain hashes are odd, so 0 marks an
+  /// empty entry, and their top bits pick the home entry.
+  class ChainIndex {
+   public:
+    ChainIndex();
+    /// Slot of `chain`, or kNoSlot.
+    Slot find(std::uint64_t chain) const;
+    /// `chain` must be absent.
+    void insert(std::uint64_t chain, Slot slot);
+    /// `chain` must be present.
+    void erase(std::uint64_t chain);
+
+   private:
+    struct Entry {
+      std::uint64_t chain = 0;
+      Slot slot = kNoSlot;
+    };
+    std::size_t home(std::uint64_t chain) const {
+      return static_cast<std::size_t>(chain >> shift_);
+    }
+    void grow();
+    /// Stores `entry` in the first empty slot of its probe run.
+    void place(const Entry& entry);
+
+    std::vector<Entry> entries_;
+    std::size_t mask_ = 0;
+    int shift_ = 0;
+    std::size_t size_ = 0;
   };
 
   /// Content identity of `request`'s block `depth`, or 0 if that block is
   /// not shareable (past the shared prefix of a sessionless request).
   std::uint64_t block_content(const Request& request, int depth) const;
-  /// Walks the chain; returns matched block count and the final chain hash.
-  long match_blocks(const Request& request, std::uint64_t* last_chain) const;
-  void make_evictable(Block& block);
-  /// Evicts the block `chain` (must be a leaf in evictable_).
-  void evict_block(std::uint64_t chain);
-  void note_session_delta(std::int64_t session, long delta);
+  /// Walks the chain; returns the matched block count and appends each
+  /// matched block's slot to `slots` when non-null.
+  long match_blocks(const Request& request, std::vector<Slot>* slots) const;
+  /// Appends `slot` at the LRU tail with the next sequence number.
+  void make_evictable(Slot slot);
+  /// Takes `slot` off the LRU list; no-op when it is not on it.
+  void unlink(Slot slot);
+  /// Evicts the block in `slot` (must be an unpinned leaf).
+  void evict_block(Slot slot);
 
   long capacity_blocks_;
   TokenCount block_size_;
   std::uint64_t next_seq_ = 1;
-  std::unordered_map<std::uint64_t, Block> blocks_;
-  /// LRU order over unpinned leaves: lru_seq -> chain. std::map keeps the
-  /// eviction order deterministic and O(log n) per touch.
-  std::map<std::uint64_t, std::uint64_t> evictable_;
-  std::unordered_map<RequestId, std::vector<std::uint64_t>> pins_;
-  std::map<std::int64_t, long> session_blocks_;
+  std::vector<Block> slab_;
+  std::vector<Slot> free_slots_;
+  ChainIndex index_;
+  /// LRU over unpinned leaves, oldest at the head. Appends always take
+  /// next_seq_++, so head-to-tail order is ascending lru_seq.
+  Slot lru_head_ = kNoSlot;
+  Slot lru_tail_ = kNoSlot;
+  long evictable_ = 0;
+  /// Slots each request pinned at attach. A pinned block is never
+  /// evicted, so its slot stays valid until unpin.
+  std::unordered_map<RequestId, std::vector<Slot>> pins_;
   PrefixCacheStats stats_;
   std::map<TenantId, PrefixCacheStats> tenant_stats_;
 };

@@ -174,7 +174,9 @@ struct PrefixCacheMetrics {
   std::int64_t evicted_blocks = 0;
   TokenCount tokens_saved = 0;       ///< prefill tokens served from cache
   double bytes_saved = 0.0;          ///< KV bytes not recomputed (replica-wide)
-  std::int64_t resident_sessions = 0;  ///< sessions with resident KV at end
+  /// Sessions with resident KV at the end of the run, distinct across
+  /// replicas (a session resident on two replicas counts once).
+  std::int64_t resident_sessions = 0;
 
   double hit_rate() const {
     return lookups == 0

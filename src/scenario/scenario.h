@@ -55,9 +55,9 @@ struct TenantSpec {
   double share = 1.0;
   /// Higher is more important (GlobalSchedulerKind::kPriority routing).
   int priority = 0;
-  SloSpec slo;
+  SloSpec slo = {};
   /// Session structure (multi-turn, shared prefixes); default single-turn.
-  SessionSpec session;
+  SessionSpec session = {};
 };
 
 struct Scenario {

@@ -1282,6 +1282,9 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
     for (std::size_t p = 0; p < config_.pools.size(); ++p)
       by_pool[p].name = config_.pools[p].name;
   }
+  // A session whose turns landed on several replicas is resident on each;
+  // it counts once.
+  std::vector<std::int64_t> sessions;
   for (ReplicaId r = 0; r < num_slots_; ++r) {
     const PrefixCache* cache = replicas_[static_cast<std::size_t>(r)].cache.get();
     if (cache == nullptr) continue;
@@ -1292,7 +1295,8 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
     out.inserted_blocks += static_cast<std::int64_t>(s.inserted_blocks);
     out.evicted_blocks += static_cast<std::int64_t>(s.evicted_blocks);
     out.tokens_saved += s.tokens_saved;
-    out.resident_sessions += cache->resident_sessions();
+    const std::vector<std::int64_t> ids = cache->resident_session_ids();
+    sessions.insert(sessions.end(), ids.begin(), ids.end());
     // Replica-wide KV bytes the hit prefills did not recompute, at the
     // slot's own memory plan (heterogeneous pools differ per slot).
     const MemoryPlan& plan =
@@ -1319,6 +1323,9 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
       slice.tokens_saved += s.tokens_saved;
     }
   }
+  std::sort(sessions.begin(), sessions.end());
+  out.resident_sessions = std::unique(sessions.begin(), sessions.end()) -
+                          sessions.begin();
   for (auto& [tenant, slice] : by_tenant) {
     slice.name = "tenant-" + std::to_string(tenant);
     for (const TenantInfo& info : config_.tenants)

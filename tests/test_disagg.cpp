@@ -188,8 +188,11 @@ TEST(Disagg, ComposesWithDeferredGlobalScheduler) {
   Simulator sim(config, trace, reference_factory(config));
   const SimulationMetrics m = sim.run();
   EXPECT_EQ(m.num_completed, 50u);
-  for (const RequestState& r : sim.request_states())
-    if (r.request.decode_tokens > 1) EXPECT_GE(r.replica, 2);
+  for (const RequestState& r : sim.request_states()) {
+    if (r.request.decode_tokens > 1) {
+      EXPECT_GE(r.replica, 2);
+    }
+  }
 }
 
 TEST(Disagg, ComposesWithAsyncPipelineParallelism) {

@@ -173,8 +173,9 @@ TEST(ScenarioArrivals, ArrivalsSortedAndIdsSequential) {
   ASSERT_EQ(trace.size(), 500u);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i].id, static_cast<RequestId>(i));
-    if (i > 0)
+    if (i > 0) {
       EXPECT_GE(trace[i].arrival_time, trace[i - 1].arrival_time);
+    }
   }
 }
 
