@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -51,11 +54,14 @@ std::string join(const std::vector<std::string>& names) {
   return out;
 }
 
-/// "unknown <what> '<got>' (did you mean '<closest>'?); known <what>s: ...".
+/// "unknown <what> '<got>' (did you mean '<closest>'?); known <what>s: ...",
+/// prefixed with "spec field '<field>': " when a spec field named it.
 [[noreturn]] void fail_unknown_name(const std::string& what,
                                     const std::string& got,
-                                    const std::vector<std::string>& known) {
+                                    const std::vector<std::string>& known,
+                                    const std::string& field = "") {
   std::ostringstream os;
+  if (!field.empty()) os << "spec field '" << field << "': ";
   os << "unknown " << what << " '" << got << "'";
   std::size_t best = std::string::npos;
   const std::string* suggestion = nullptr;
@@ -523,1148 +529,749 @@ std::vector<ExperimentSpec> ExperimentSpec::expand_sweep() const {
   return out;
 }
 
-// ------------------------------------------------------------- to_json
+// ------------------------------------------------------------------ JSON
+//
+// Every spec key is declared once, in the field table of the struct that
+// holds it. A table lists its keys in output order; each entry names the
+// member, whether the key is always written or only when it differs from
+// the default, and (for the two deployment and workload forms) the form it
+// is written in. The member's type picks its codec. One generic writer and
+// one strict reader walk the tables: the reader parses a present section
+// onto the value the spec would have without it, so an omitted key keeps
+// its default at every level, rejects unknown keys with a did-you-mean,
+// and names the full path of the key in every error.
 
 namespace {
 
-/// Emits `key` only when the value differs from the default — spec files
-/// stay minimal and diffable while the round trip stays lossless (parsing
-/// starts from the same defaults).
-template <typename T>
-void set_unless_default(JsonValue& obj, const char* key, const T& value,
-                        const T& dflt, JsonValue encoded) {
-  if (!(value == dflt)) obj.set(key, std::move(encoded));
+enum class Emit { kUnlessDefault, kAlways };
+
+/// Path of `key` inside the section at `path` ("" is the spec itself).
+std::string key_path(const std::string& path, const char* key) {
+  return path.empty() ? std::string(key) : path + "." + key;
 }
 
-template <typename T>
-JsonValue number_array(const std::vector<T>& values) {
-  JsonValue arr = JsonValue::array();
-  for (const T& v : values) arr.push(JsonValue(v));
-  return arr;
+void expect_type(bool ok, const std::string& path, const char* type) {
+  VIDUR_CHECK_MSG(ok, "spec field '" << path << "' must be " << type);
 }
 
-JsonValue string_array(const std::vector<std::string>& values) {
-  JsonValue arr = JsonValue::array();
-  for (const std::string& v : values) arr.push(v);
-  return arr;
+/// One key of a section of type S.
+template <typename S>
+struct Field {
+  const char* key;
+  Emit emit;
+  /// Written only for values of this form (the reader accepts the key in
+  /// every form); nullptr means every form.
+  bool (*when)(const S&);
+  std::function<bool(const S&, const S&)> equal;
+  std::function<JsonValue(const S&, const S&)> write;
+  std::function<void(const JsonValue&, S&, const std::string&)> read;
+};
+
+template <typename S>
+struct Table {
+  std::vector<Field<S>> fields;
+  /// Array elements of this type are named in error paths by this string
+  /// key (`pools['a']`) instead of by their index.
+  const char* label = nullptr;
+};
+
+/// The field table of each section type; defined below, leaves first.
+template <typename S>
+const Table<S>& table();
+
+template <typename S>
+bool section_equal(const Table<S>& t, const S& a, const S& b) {
+  return std::all_of(t.fields.begin(), t.fields.end(),
+                     [&](const Field<S>& f) { return f.equal(a, b); });
 }
 
-JsonValue profile_json(const RateProfile& p) {
+template <typename S>
+JsonValue write_section(const Table<S>& t, const S& value, const S& dflt) {
   JsonValue j = JsonValue::object();
-  j.set("kind", rate_profile_kind_name(p.kind()));
-  switch (p.kind()) {
-    case RateProfileKind::kConstant:
-      break;
-    case RateProfileKind::kDiurnal:
-      j.set("period_s", p.raw_t0());
-      j.set("low", p.raw_a());
-      j.set("high", p.raw_b());
-      break;
-    case RateProfileKind::kRamp:
-      j.set("start", p.raw_a());
-      j.set("end", p.raw_b());
-      j.set("duration_s", p.raw_t0());
-      break;
-    case RateProfileKind::kSpike:
-      j.set("baseline", p.raw_a());
-      j.set("spike", p.raw_b());
-      j.set("start_s", p.raw_t0());
-      j.set("duration_s", p.raw_t1());
-      break;
-    case RateProfileKind::kPiecewise: {
-      JsonValue steps = JsonValue::array();
-      for (const RateStep& s : p.steps()) {
-        JsonValue step = JsonValue::array();
-        step.push(s.start_time);
-        step.push(s.factor);
-        steps.push(std::move(step));
+  for (const Field<S>& f : t.fields) {
+    if (f.when != nullptr && !f.when(value)) continue;
+    if (f.emit == Emit::kUnlessDefault && f.equal(value, dflt)) continue;
+    j.set(f.key, f.write(value, dflt));
+  }
+  return j;
+}
+
+/// Rejects every member of `j` not named in `known`, with a did-you-mean.
+void reject_unknown_keys(const JsonValue& j,
+                         const std::vector<std::string>& known,
+                         const std::string& section) {
+  for (const auto& [key, value] : j.members())
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      fail_unknown_name("'" + section + "' field", key, known);
+}
+
+template <typename S>
+void read_section(const Table<S>& t, const JsonValue& j, S& value,
+                  const std::string& path) {
+  const std::string section = path.empty() ? "experiment" : path;
+  VIDUR_CHECK_MSG(j.is_object(),
+                  "spec section '" << section << "' must be a JSON object");
+  std::vector<std::string> known;
+  for (const Field<S>& f : t.fields) {
+    known.push_back(f.key);
+    if (const JsonValue* v = j.find(f.key))
+      f.read(*v, value, key_path(path, f.key));
+  }
+  reject_unknown_keys(j, known, section);
+}
+
+// ---- codecs: the read/write pair of one value type
+
+/// A nested section: a struct with a field table.
+template <typename T>
+struct Section {
+  static bool equal(const T& a, const T& b) {
+    return section_equal(table<T>(), a, b);
+  }
+  static JsonValue write(const T& v, const T& dflt) {
+    return write_section(table<T>(), v, dflt);
+  }
+  static void read(const JsonValue& j, T& v, const std::string& path) {
+    read_section(table<T>(), j, v, path);
+  }
+};
+
+template <typename T>
+struct Codec : Section<T> {};
+
+/// Scalars compare with == and are written through JsonValue's constructor.
+template <typename T>
+struct Scalar {
+  static bool equal(const T& a, const T& b) { return a == b; }
+  static JsonValue write(const T& v, const T&) { return JsonValue(v); }
+};
+
+/// int and TokenCount alike are read as 32-bit integers.
+template <typename T>
+struct Int : Scalar<T> {
+  static void read(const JsonValue& j, T& v, const std::string& path) {
+    expect_type(j.is_int(), path, "an integer");
+    const std::int64_t raw = j.as_int();
+    VIDUR_CHECK_MSG(raw >= std::numeric_limits<int>::min() &&
+                        raw <= std::numeric_limits<int>::max(),
+                    "spec field '" << path << "' value " << raw
+                                   << " is out of the 32-bit integer range");
+    v = static_cast<int>(raw);
+  }
+};
+
+template <>
+struct Codec<int> : Int<int> {};
+template <>
+struct Codec<TokenCount> : Int<TokenCount> {};
+
+/// Seeds: a uint64 carried as the bit pattern of a JSON int64.
+template <>
+struct Codec<std::uint64_t> : Scalar<std::uint64_t> {
+  static JsonValue write(std::uint64_t v, std::uint64_t) {
+    return JsonValue(static_cast<std::int64_t>(v));
+  }
+  static void read(const JsonValue& j, std::uint64_t& v,
+                   const std::string& path) {
+    expect_type(j.is_int(), path, "an integer");
+    v = static_cast<std::uint64_t>(j.as_int());
+  }
+};
+
+template <>
+struct Codec<double> : Scalar<double> {
+  static void read(const JsonValue& j, double& v, const std::string& path) {
+    expect_type(j.is_number(), path, "a number");
+    v = j.as_double();
+  }
+};
+
+template <>
+struct Codec<bool> : Scalar<bool> {
+  static void read(const JsonValue& j, bool& v, const std::string& path) {
+    expect_type(j.is_bool(), path, "a boolean");
+    v = j.as_bool();
+  }
+};
+
+template <>
+struct Codec<std::string> : Scalar<std::string> {
+  static void read(const JsonValue& j, std::string& v,
+                   const std::string& path) {
+    expect_type(j.is_string(), path, "a string");
+    v = j.as_string();
+  }
+};
+
+/// An enum's label in errors, its module's name function and its last
+/// enumerator (every spec enum numbers its values from 0).
+template <typename E>
+struct EnumNames {
+  const char* what;
+  const std::string& (*name)(E);
+  E last;
+};
+
+EnumNames<ExperimentMode> enum_names(ExperimentMode) {
+  return {"experiment mode", experiment_mode_name,
+          ExperimentMode::kElasticPlan};
+}
+EnumNames<SchedulerKind> enum_names(SchedulerKind) {
+  return {"scheduler", scheduler_name, SchedulerKind::kLightLlm};
+}
+EnumNames<GlobalSchedulerKind> enum_names(GlobalSchedulerKind) {
+  return {"global scheduler", global_scheduler_name,
+          GlobalSchedulerKind::kCacheAware};
+}
+EnumNames<AutoscalerKind> enum_names(AutoscalerKind) {
+  return {"autoscaler", autoscaler_name, AutoscalerKind::kPredictive};
+}
+EnumNames<ScaleSignal> enum_names(ScaleSignal) {
+  return {"scale signal", scale_signal_name, ScaleSignal::kKvPressure};
+}
+EnumNames<PoolRole> enum_names(PoolRole) {
+  return {"pool role", pool_role_name, PoolRole::kDecode};
+}
+EnumNames<ArrivalKind> enum_names(ArrivalKind) {
+  return {"arrival kind", arrival_kind_name, ArrivalKind::kGamma};
+}
+EnumNames<RateProfileKind> enum_names(RateProfileKind) {
+  return {"rate profile kind", rate_profile_kind_name,
+          RateProfileKind::kPiecewise};
+}
+
+/// Enums are written and read by name.
+template <typename E>
+  requires std::is_enum_v<E>
+struct Codec<E> {
+  static bool equal(E a, E b) { return a == b; }
+  static JsonValue write(E v, E) { return enum_names(v).name(v); }
+  static void read(const JsonValue& j, E& v, const std::string& path) {
+    expect_type(j.is_string(), path, "a string");
+    const EnumNames<E> names = enum_names(E{});
+    std::vector<std::string> known;
+    for (int i = 0; i <= static_cast<int>(names.last); ++i) {
+      const E e = static_cast<E>(i);
+      if (names.name(e) == j.as_string()) {
+        v = e;
+        return;
       }
-      j.set("steps", std::move(steps));
-      break;
+      known.push_back(names.name(e));
     }
+    fail_unknown_name(names.what, j.as_string(), known, path);
   }
-  return j;
-}
+};
 
-JsonValue arrival_json(const ArrivalSpec& a) {
-  JsonValue j = JsonValue::object();
-  j.set("kind", arrival_kind_name(a.kind));
-  j.set("qps", a.qps);
-  j.set("cv", a.cv);
-  return j;
-}
-
-JsonValue slo_json(const SloSpec& s) {
-  JsonValue j = JsonValue::object();
-  j.set("ttft_target_s", s.ttft_target);
-  j.set("tbt_target_s", s.tbt_target);
-  return j;
-}
-
-JsonValue scheduler_json(const SchedulerConfig& s) {
-  const SchedulerConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("kind", scheduler_name(s.kind));
-  set_unless_default(j, "max_batch_size", s.max_batch_size, d.max_batch_size,
-                     s.max_batch_size);
-  set_unless_default(j, "max_tokens_per_iteration",
-                     s.max_tokens_per_iteration, d.max_tokens_per_iteration,
-                     s.max_tokens_per_iteration);
-  set_unless_default(j, "chunk_size", s.chunk_size, d.chunk_size,
-                     s.chunk_size);
-  set_unless_default(j, "watermark_fraction", s.watermark_fraction,
-                     d.watermark_fraction, s.watermark_fraction);
-  return j;
-}
-
-JsonValue disagg_json(const DisaggConfig& c) {
-  const DisaggConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("num_prefill_replicas", c.num_prefill_replicas);
-  set_unless_default(j, "transfer_bandwidth_gbps", c.transfer_bandwidth_gbps,
-                     d.transfer_bandwidth_gbps, c.transfer_bandwidth_gbps);
-  set_unless_default(j, "transfer_latency_s", c.transfer_latency,
-                     d.transfer_latency, c.transfer_latency);
-  return j;
-}
-
-JsonValue autoscale_json(const AutoscalerConfig& c) {
-  const AutoscalerConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("kind", autoscaler_name(c.kind));
-  set_unless_default(j, "signal", c.signal, d.signal,
-                     scale_signal_name(c.signal));
-  set_unless_default(j, "target_kv_utilization", c.target_kv_utilization,
-                     d.target_kv_utilization, c.target_kv_utilization);
-  set_unless_default(j, "scale_up_kv_utilization", c.scale_up_kv_utilization,
-                     d.scale_up_kv_utilization, c.scale_up_kv_utilization);
-  set_unless_default(j, "scale_down_kv_utilization",
-                     c.scale_down_kv_utilization,
-                     d.scale_down_kv_utilization,
-                     c.scale_down_kv_utilization);
-  set_unless_default(j, "min_replicas", c.min_replicas, d.min_replicas,
-                     c.min_replicas);
-  set_unless_default(j, "initial_replicas", c.initial_replicas,
-                     d.initial_replicas, c.initial_replicas);
-  set_unless_default(j, "provision_delay_s", c.provision_delay,
-                     d.provision_delay, c.provision_delay);
-  set_unless_default(j, "warmup_delay_s", c.warmup_delay, d.warmup_delay,
-                     c.warmup_delay);
-  set_unless_default(j, "decision_interval_s", c.decision_interval,
-                     d.decision_interval, c.decision_interval);
-  set_unless_default(j, "scale_up_cooldown_s", c.scale_up_cooldown,
-                     d.scale_up_cooldown, c.scale_up_cooldown);
-  set_unless_default(j, "scale_down_cooldown_s", c.scale_down_cooldown,
-                     d.scale_down_cooldown, c.scale_down_cooldown);
-  set_unless_default(j, "max_scale_step", c.max_scale_step, d.max_scale_step,
-                     c.max_scale_step);
-  set_unless_default(j, "target_load_per_replica", c.target_load_per_replica,
-                     d.target_load_per_replica, c.target_load_per_replica);
-  set_unless_default(j, "scale_up_load", c.scale_up_load, d.scale_up_load,
-                     c.scale_up_load);
-  set_unless_default(j, "scale_down_load", c.scale_down_load,
-                     d.scale_down_load, c.scale_down_load);
-  set_unless_default(j, "profile", c.profile, d.profile,
-                     profile_json(c.profile));
-  set_unless_default(j, "baseline_qps", c.baseline_qps, d.baseline_qps,
-                     c.baseline_qps);
-  set_unless_default(j, "replica_capacity_qps", c.replica_capacity_qps,
-                     d.replica_capacity_qps, c.replica_capacity_qps);
-  set_unless_default(j, "headroom", c.headroom, d.headroom, c.headroom);
-  set_unless_default(j, "lookahead_s", c.lookahead, d.lookahead, c.lookahead);
-  return j;
-}
-
-JsonValue prefix_cache_json(const PrefixCacheConfig& c) {
-  const PrefixCacheConfig d;
-  JsonValue j = JsonValue::object();
-  j.set("enabled", c.enabled);
-  set_unless_default(j, "capacity_fraction", c.capacity_fraction,
-                     d.capacity_fraction, c.capacity_fraction);
-  return j;
-}
-
-JsonValue fault_profile_json(const FaultProfile& p) {
-  const FaultProfile d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "pool", p.pool, d.pool, p.pool);
-  set_unless_default(j, "crash_mtbf_s", p.crash_mtbf_s, d.crash_mtbf_s,
-                     p.crash_mtbf_s);
-  if (!p.spot_windows.empty()) {
-    JsonValue windows = JsonValue::array();
-    for (const SpotWindow& w : p.spot_windows) {
-      const SpotWindow wd;
-      JsonValue wj = JsonValue::object();
-      wj.set("start_s", w.start);
-      wj.set("duration_s", w.duration);
-      set_unless_default(wj, "replicas", w.replicas, wd.replicas, w.replicas);
-      set_unless_default(wj, "notice_s", w.notice, wd.notice, w.notice);
-      windows.push(std::move(wj));
-    }
-    j.set("spot_windows", std::move(windows));
+template <typename T>
+struct Codec<std::vector<T>> {
+  static bool equal(const std::vector<T>& a, const std::vector<T>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      Codec<T>::equal);
   }
-  set_unless_default(j, "degrade_mtbf_s", p.degrade_mtbf_s, d.degrade_mtbf_s,
-                     p.degrade_mtbf_s);
-  set_unless_default(j, "degrade_factor", p.degrade_factor, d.degrade_factor,
-                     p.degrade_factor);
-  set_unless_default(j, "degrade_duration_s", p.degrade_duration_s,
-                     d.degrade_duration_s, p.degrade_duration_s);
-  return j;
-}
-
-JsonValue faults_json(const FaultConfig& c) {
-  const FaultConfig d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "seed", c.seed, d.seed,
-                     static_cast<std::int64_t>(c.seed));
-  JsonValue profiles = JsonValue::array();
-  for (const FaultProfile& p : c.profiles)
-    profiles.push(fault_profile_json(p));
-  j.set("profiles", std::move(profiles));
-  if (!(c.recovery == d.recovery)) {
-    const RecoveryPolicy rd;
-    JsonValue rj = JsonValue::object();
-    set_unless_default(rj, "max_attempts", c.recovery.max_attempts,
-                       rd.max_attempts, c.recovery.max_attempts);
-    set_unless_default(rj, "backoff_base_s", c.recovery.backoff_base_s,
-                       rd.backoff_base_s, c.recovery.backoff_base_s);
-    set_unless_default(rj, "backoff_multiplier",
-                       c.recovery.backoff_multiplier, rd.backoff_multiplier,
-                       c.recovery.backoff_multiplier);
-    set_unless_default(rj, "jitter", c.recovery.jitter, rd.jitter,
-                       c.recovery.jitter);
-    j.set("recovery", std::move(rj));
-  }
-  if (!(c.shed == d.shed)) {
-    const ShedPolicy sd;
-    JsonValue sj = JsonValue::object();
-    sj.set("min_active_replicas", c.shed.min_active_replicas);
-    set_unless_default(sj, "max_shed_priority", c.shed.max_shed_priority,
-                       sd.max_shed_priority, c.shed.max_shed_priority);
-    j.set("shed", std::move(sj));
-  }
-  return j;
-}
-
-JsonValue pool_json(const PoolSpec& p) {
-  const PoolSpec d;
-  JsonValue j = JsonValue::object();
-  j.set("name", p.name);
-  j.set("sku", p.sku_name);
-  set_unless_default(j, "role", p.role, d.role, pool_role_name(p.role));
-  set_unless_default(j, "tensor_parallel", p.parallel.tensor_parallel,
-                     d.parallel.tensor_parallel, p.parallel.tensor_parallel);
-  set_unless_default(j, "pipeline_parallel", p.parallel.pipeline_parallel,
-                     d.parallel.pipeline_parallel,
-                     p.parallel.pipeline_parallel);
-  j.set("num_replicas", p.parallel.num_replicas);
-  set_unless_default(j, "cost_per_gpu_hour", p.cost_per_gpu_hour,
-                     d.cost_per_gpu_hour, p.cost_per_gpu_hour);
-  set_unless_default(j, "capacity_qps", p.capacity_qps, d.capacity_qps,
-                     p.capacity_qps);
-  set_unless_default(j, "autoscale", p.autoscale, d.autoscale,
-                     autoscale_json(p.autoscale));
-  return j;
-}
-
-JsonValue deployment_json(const DeploymentConfig& c) {
-  const DeploymentConfig d;
-  JsonValue j = JsonValue::object();
-  if (!c.pools.empty()) {
-    // The pool list supersedes the homogeneous SKU/parallelism fields;
-    // emitting both would invite divergence in hand-edited specs.
-    JsonValue pools = JsonValue::array();
-    for (const PoolSpec& p : c.pools) pools.push(pool_json(p));
-    j.set("pools", std::move(pools));
-    set_unless_default(j, "scheduler", c.scheduler, d.scheduler,
-                       scheduler_json(c.scheduler));
-    set_unless_default(j, "global_scheduler", c.global_scheduler,
-                       d.global_scheduler,
-                       global_scheduler_name(c.global_scheduler));
-    set_unless_default(j, "async_pipeline_comm", c.async_pipeline_comm,
-                       d.async_pipeline_comm, c.async_pipeline_comm);
-    set_unless_default(j, "disagg", c.disagg, d.disagg,
-                       disagg_json(c.disagg));
-    set_unless_default(j, "prefix_cache", c.prefix_cache, d.prefix_cache,
-                       prefix_cache_json(c.prefix_cache));
-    set_unless_default(j, "faults", c.faults, d.faults,
-                       faults_json(c.faults));
-    if (c.threads != d.threads) {
-      JsonValue e = JsonValue::object();
-      e.set("threads", c.threads);
-      j.set("execution", std::move(e));
-    }
-    return j;
-  }
-  j.set("sku", c.sku_name);
-  j.set("tensor_parallel", c.parallel.tensor_parallel);
-  j.set("pipeline_parallel", c.parallel.pipeline_parallel);
-  j.set("num_replicas", c.parallel.num_replicas);
-  set_unless_default(j, "scheduler", c.scheduler, d.scheduler,
-                     scheduler_json(c.scheduler));
-  set_unless_default(j, "global_scheduler", c.global_scheduler,
-                     d.global_scheduler,
-                     global_scheduler_name(c.global_scheduler));
-  set_unless_default(j, "async_pipeline_comm", c.async_pipeline_comm,
-                     d.async_pipeline_comm, c.async_pipeline_comm);
-  set_unless_default(j, "disagg", c.disagg, d.disagg, disagg_json(c.disagg));
-  set_unless_default(j, "autoscale", c.autoscale, d.autoscale,
-                     autoscale_json(c.autoscale));
-  set_unless_default(j, "prefix_cache", c.prefix_cache, d.prefix_cache,
-                     prefix_cache_json(c.prefix_cache));
-  set_unless_default(j, "faults", c.faults, d.faults, faults_json(c.faults));
-  // Default-omitted like every other knob, so committed specs stay exact
-  // serializer fixed points.
-  if (c.threads != d.threads) {
-    JsonValue e = JsonValue::object();
-    e.set("threads", c.threads);
-    j.set("execution", std::move(e));
-  }
-  return j;
-}
-
-JsonValue workload_json(const WorkloadSpec& w) {
-  JsonValue j = JsonValue::object();
-  if (!w.synthetic()) {
-    j.set("scenario", w.scenario);
-    if (w.num_requests != 0) j.set("num_requests", w.num_requests);
-    return j;
-  }
-  j.set("trace", w.trace);
-  j.set("arrival", arrival_json(w.arrival));
-  j.set("num_requests", w.num_requests);
-  return j;
-}
-
-JsonValue search_json(const SearchSpace& s) {
-  const SearchSpace d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "skus", s.skus, d.skus, string_array(s.skus));
-  set_unless_default(j, "tp_degrees", s.tp_degrees, d.tp_degrees,
-                     number_array(s.tp_degrees));
-  set_unless_default(j, "pp_degrees", s.pp_degrees, d.pp_degrees,
-                     number_array(s.pp_degrees));
-  set_unless_default(j, "max_total_gpus", s.max_total_gpus, d.max_total_gpus,
-                     s.max_total_gpus);
-  if (s.schedulers != d.schedulers) {
+  static JsonValue write(const std::vector<T>& v, const std::vector<T>&) {
     JsonValue arr = JsonValue::array();
-    for (const SchedulerKind k : s.schedulers) arr.push(scheduler_name(k));
-    j.set("schedulers", std::move(arr));
+    for (const T& item : v) arr.push(Codec<T>::write(item, T{}));
+    return arr;
   }
-  set_unless_default(j, "batch_sizes", s.batch_sizes, d.batch_sizes,
-                     number_array(s.batch_sizes));
-  set_unless_default(j, "sarathi_chunk_sizes", s.sarathi_chunk_sizes,
-                     d.sarathi_chunk_sizes,
-                     number_array(s.sarathi_chunk_sizes));
-  set_unless_default(j, "max_tokens_per_iteration",
-                     s.max_tokens_per_iteration, d.max_tokens_per_iteration,
-                     s.max_tokens_per_iteration);
-  set_unless_default(j, "global_scheduler", s.global_scheduler,
-                     d.global_scheduler,
-                     global_scheduler_name(s.global_scheduler));
-  return j;
+  /// Elements parse onto T's own default.
+  static void read(const JsonValue& j, std::vector<T>& v,
+                   const std::string& path) {
+    expect_type(j.is_array(), path, "an array");
+    v.clear();
+    for (const JsonValue& item : j.items()) {
+      const char* label = nullptr;
+      if constexpr (std::is_base_of_v<Section<T>, Codec<T>>)
+        label = table<T>().label;
+      const JsonValue* name =
+          label != nullptr && item.is_object() ? item.find(label) : nullptr;
+      const std::string at =
+          name != nullptr && name->is_string()
+              ? path + "['" + name->as_string() + "']"
+              : path + "[" + std::to_string(v.size()) + "]";
+      T parsed{};
+      Codec<T>::read(item, parsed, at);
+      v.push_back(std::move(parsed));
+    }
+  }
+};
+
+/// A piecewise profile step: a [start_s, factor] pair.
+template <>
+struct Codec<RateStep> : Scalar<RateStep> {
+  static JsonValue write(const RateStep& s, const RateStep&) {
+    JsonValue pair = JsonValue::array();
+    pair.push(s.start_time);
+    pair.push(s.factor);
+    return pair;
+  }
+  static void read(const JsonValue& j, RateStep& s, const std::string& path) {
+    VIDUR_CHECK_MSG(j.is_array() && j.size() == 2,
+                    "spec field '" << path
+                                   << "' must be a [start_s, factor] pair");
+    Codec<double>::read(j.items()[0], s.start_time, path + "[0]");
+    Codec<double>::read(j.items()[1], s.factor, path + "[1]");
+  }
+};
+
+/// One numeric parameter of a rate profile and the raw slot it fills
+/// (0 = a, 1 = b, 2 = t0, 3 = t1; see RateProfile's raw view).
+struct ProfileParam {
+  const char* key;
+  int slot;
+};
+
+/// The parameter keys of each profile kind, in output order.
+std::span<const ProfileParam> profile_params(RateProfileKind kind) {
+  static constexpr ProfileParam kDiurnal[] = {
+      {"period_s", 2}, {"low", 0}, {"high", 1}};
+  static constexpr ProfileParam kRamp[] = {
+      {"start", 0}, {"end", 1}, {"duration_s", 2}};
+  static constexpr ProfileParam kSpike[] = {
+      {"baseline", 0}, {"spike", 1}, {"start_s", 2}, {"duration_s", 3}};
+  switch (kind) {
+    case RateProfileKind::kDiurnal:
+      return kDiurnal;
+    case RateProfileKind::kRamp:
+      return kRamp;
+    case RateProfileKind::kSpike:
+      return kSpike;
+    case RateProfileKind::kConstant:
+    case RateProfileKind::kPiecewise:
+      return {};
+  }
+  throw Error("unhandled RateProfileKind");
 }
 
-JsonValue elastic_json(const ElasticPlanSpec& e) {
-  JsonValue j = JsonValue::object();
-  j.set("slo_target", e.slo_target);
-  j.set("max_replicas", e.max_replicas);
-  j.set("burst_slots", e.burst_slots);
-  return j;
+/// A rate profile's keys depend on its kind, so it is read in two passes:
+/// the kind, then that kind's parameters (absent ones are 0). The named
+/// factories rebuild (and validate) the profile.
+template <>
+struct Codec<RateProfile> : Scalar<RateProfile> {
+  static JsonValue write(const RateProfile& p, const RateProfile&) {
+    JsonValue j = JsonValue::object();
+    j.set("kind", Codec<RateProfileKind>::write(p.kind(), p.kind()));
+    const double raw[] = {p.raw_a(), p.raw_b(), p.raw_t0(), p.raw_t1()};
+    for (const ProfileParam& param : profile_params(p.kind()))
+      j.set(param.key, raw[param.slot]);
+    if (p.kind() == RateProfileKind::kPiecewise)
+      j.set("steps", Codec<std::vector<RateStep>>::write(p.steps(), {}));
+    return j;
+  }
+  static void read(const JsonValue& j, RateProfile& p,
+                   const std::string& path) {
+    VIDUR_CHECK_MSG(j.is_object(),
+                    "spec section '" << path << "' must be a JSON object");
+    RateProfileKind kind = RateProfileKind::kConstant;
+    if (const JsonValue* k = j.find("kind"))
+      Codec<RateProfileKind>::read(*k, kind, key_path(path, "kind"));
+    std::vector<std::string> known = {"kind"};
+    double raw[4] = {};
+    for (const ProfileParam& param : profile_params(kind)) {
+      known.push_back(param.key);
+      if (const JsonValue* v = j.find(param.key))
+        Codec<double>::read(*v, raw[param.slot], key_path(path, param.key));
+    }
+    std::vector<RateStep> steps;
+    if (kind == RateProfileKind::kPiecewise) {
+      known.push_back("steps");
+      if (const JsonValue* v = j.find("steps"))
+        Codec<std::vector<RateStep>>::read(*v, steps,
+                                           key_path(path, "steps"));
+    }
+    reject_unknown_keys(j, known, path);
+    switch (kind) {
+      case RateProfileKind::kConstant:
+        p = RateProfile::constant();
+        return;
+      case RateProfileKind::kDiurnal:
+        p = RateProfile::diurnal(raw[2], raw[0], raw[1]);
+        return;
+      case RateProfileKind::kRamp:
+        p = RateProfile::ramp(raw[0], raw[1], raw[2]);
+        return;
+      case RateProfileKind::kSpike:
+        p = RateProfile::spike(raw[0], raw[1], raw[2], raw[3]);
+        return;
+      case RateProfileKind::kPiecewise:
+        p = RateProfile::piecewise(std::move(steps));
+        return;
+    }
+  }
+};
+
+// ---- field constructors
+
+template <typename S, typename Get>
+Field<S> field_at(const char* key, Get get, Emit emit,
+                  bool (*when)(const S&)) {
+  using T = std::remove_cvref_t<decltype(get(std::declval<S&>()))>;
+  return {key, emit, when,
+          [get](const S& a, const S& b) {
+            return Codec<T>::equal(get(a), get(b));
+          },
+          [get](const S& v, const S& d) {
+            return Codec<T>::write(get(v), get(d));
+          },
+          [get](const JsonValue& j, S& v, const std::string& path) {
+            Codec<T>::read(j, get(v), path);
+          }};
 }
 
-JsonValue obs_json(const ObsSpec& o) {
-  const ObsSpec d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "trace", o.trace, d.trace, o.trace);
-  set_unless_default(j, "trace_capacity", o.trace_capacity, d.trace_capacity,
-                     o.trace_capacity);
-  set_unless_default(j, "rolling_window_s", o.rolling_window_s,
-                     d.rolling_window_s, o.rolling_window_s);
-  set_unless_default(j, "analyze", o.analyze, d.analyze, o.analyze);
-  return j;
+/// `key` holds `member`.
+template <typename S, typename T>
+Field<S> field(const char* key, T S::*member,
+               Emit emit = Emit::kUnlessDefault,
+               bool (*when)(const S&) = nullptr) {
+  return field_at<S>(
+      key, [member](auto& s) -> auto& { return s.*member; }, emit, when);
 }
 
-JsonValue sweep_json(const SweepAxes& s) {
-  const SweepAxes d;
-  JsonValue j = JsonValue::object();
-  set_unless_default(j, "sku", s.sku, d.sku, string_array(s.sku));
-  set_unless_default(j, "tensor_parallel", s.tensor_parallel,
-                     d.tensor_parallel, number_array(s.tensor_parallel));
-  set_unless_default(j, "pipeline_parallel", s.pipeline_parallel,
-                     d.pipeline_parallel, number_array(s.pipeline_parallel));
-  set_unless_default(j, "num_replicas", s.num_replicas, d.num_replicas,
-                     number_array(s.num_replicas));
-  set_unless_default(j, "scheduler", s.scheduler, d.scheduler,
-                     string_array(s.scheduler));
-  set_unless_default(j, "max_batch_size", s.max_batch_size, d.max_batch_size,
-                     number_array(s.max_batch_size));
-  set_unless_default(j, "chunk_size", s.chunk_size, d.chunk_size,
-                     number_array(s.chunk_size));
-  set_unless_default(j, "qps", s.qps, d.qps, number_array(s.qps));
-  return j;
+/// `key` holds `(s.*outer).*inner` (parallelism flattened into its owner).
+template <typename S, typename M, typename T>
+Field<S> field(const char* key, M S::*outer, T M::*inner,
+               Emit emit = Emit::kUnlessDefault,
+               bool (*when)(const S&) = nullptr) {
+  return field_at<S>(
+      key, [outer, inner](auto& s) -> auto& { return (s.*outer).*inner; },
+      emit, when);
+}
+
+/// `key` is a section of some of S's own members, with its own table.
+template <typename S>
+Field<S> view(const char* key, const Table<S>& (*t)()) {
+  return {key, Emit::kUnlessDefault, nullptr,
+          [t](const S& a, const S& b) { return section_equal(t(), a, b); },
+          [t](const S& v, const S& d) { return write_section(t(), v, d); },
+          [t](const JsonValue& j, S& v, const std::string& path) {
+            read_section(t(), j, v, path);
+          }};
+}
+
+constexpr Emit kAlways = Emit::kAlways;
+
+// ---- the tables
+
+template <>
+const Table<SchedulerConfig>& table() {
+  using S = SchedulerConfig;
+  static const Table<S> t{{
+      field("kind", &S::kind, kAlways),
+      field("max_batch_size", &S::max_batch_size),
+      field("max_tokens_per_iteration", &S::max_tokens_per_iteration),
+      field("chunk_size", &S::chunk_size),
+      field("watermark_fraction", &S::watermark_fraction),
+  }};
+  return t;
+}
+
+template <>
+const Table<DisaggConfig>& table() {
+  using S = DisaggConfig;
+  static const Table<S> t{{
+      field("num_prefill_replicas", &S::num_prefill_replicas, kAlways),
+      field("transfer_bandwidth_gbps", &S::transfer_bandwidth_gbps),
+      field("transfer_latency_s", &S::transfer_latency),
+  }};
+  return t;
+}
+
+template <>
+const Table<AutoscalerConfig>& table() {
+  using S = AutoscalerConfig;
+  static const Table<S> t{{
+      field("kind", &S::kind, kAlways),
+      field("signal", &S::signal),
+      field("target_kv_utilization", &S::target_kv_utilization),
+      field("scale_up_kv_utilization", &S::scale_up_kv_utilization),
+      field("scale_down_kv_utilization", &S::scale_down_kv_utilization),
+      field("min_replicas", &S::min_replicas),
+      field("initial_replicas", &S::initial_replicas),
+      field("provision_delay_s", &S::provision_delay),
+      field("warmup_delay_s", &S::warmup_delay),
+      field("decision_interval_s", &S::decision_interval),
+      field("scale_up_cooldown_s", &S::scale_up_cooldown),
+      field("scale_down_cooldown_s", &S::scale_down_cooldown),
+      field("max_scale_step", &S::max_scale_step),
+      field("target_load_per_replica", &S::target_load_per_replica),
+      field("scale_up_load", &S::scale_up_load),
+      field("scale_down_load", &S::scale_down_load),
+      field("profile", &S::profile),
+      field("baseline_qps", &S::baseline_qps),
+      field("replica_capacity_qps", &S::replica_capacity_qps),
+      field("headroom", &S::headroom),
+      field("lookahead_s", &S::lookahead),
+  }};
+  return t;
+}
+
+template <>
+const Table<PrefixCacheConfig>& table() {
+  using S = PrefixCacheConfig;
+  static const Table<S> t{{
+      field("enabled", &S::enabled, kAlways),
+      field("capacity_fraction", &S::capacity_fraction),
+  }};
+  return t;
+}
+
+template <>
+const Table<SpotWindow>& table() {
+  using S = SpotWindow;
+  static const Table<S> t{{
+      field("start_s", &S::start, kAlways),
+      field("duration_s", &S::duration, kAlways),
+      field("replicas", &S::replicas),
+      field("notice_s", &S::notice),
+  }};
+  return t;
+}
+
+template <>
+const Table<FaultProfile>& table() {
+  using S = FaultProfile;
+  static const Table<S> t{
+      {
+          field("pool", &S::pool),
+          field("crash_mtbf_s", &S::crash_mtbf_s),
+          field("spot_windows", &S::spot_windows),
+          field("degrade_mtbf_s", &S::degrade_mtbf_s),
+          field("degrade_factor", &S::degrade_factor),
+          field("degrade_duration_s", &S::degrade_duration_s),
+      },
+      "pool"};
+  return t;
+}
+
+template <>
+const Table<RecoveryPolicy>& table() {
+  using S = RecoveryPolicy;
+  static const Table<S> t{{
+      field("max_attempts", &S::max_attempts),
+      field("backoff_base_s", &S::backoff_base_s),
+      field("backoff_multiplier", &S::backoff_multiplier),
+      field("jitter", &S::jitter),
+  }};
+  return t;
+}
+
+template <>
+const Table<ShedPolicy>& table() {
+  using S = ShedPolicy;
+  static const Table<S> t{{
+      field("min_active_replicas", &S::min_active_replicas, kAlways),
+      field("max_shed_priority", &S::max_shed_priority),
+  }};
+  return t;
+}
+
+template <>
+const Table<FaultConfig>& table() {
+  using S = FaultConfig;
+  static const Table<S> t{{
+      field("seed", &S::seed),
+      field("profiles", &S::profiles, kAlways),
+      field("recovery", &S::recovery),
+      field("shed", &S::shed),
+  }};
+  return t;
+}
+
+template <>
+const Table<PoolSpec>& table() {
+  using S = PoolSpec;
+  using P = ParallelConfig;
+  static const Table<S> t{
+      {
+          field("name", &S::name, kAlways),
+          field("sku", &S::sku_name, kAlways),
+          field("role", &S::role),
+          field("tensor_parallel", &S::parallel, &P::tensor_parallel),
+          field("pipeline_parallel", &S::parallel, &P::pipeline_parallel),
+          field("num_replicas", &S::parallel, &P::num_replicas, kAlways),
+          field("cost_per_gpu_hour", &S::cost_per_gpu_hour),
+          field("capacity_qps", &S::capacity_qps),
+          field("autoscale", &S::autoscale),
+      },
+      "name"};
+  return t;
+}
+
+/// deployment.execution: the sharded core's knobs.
+const Table<DeploymentConfig>& execution_table() {
+  static const Table<DeploymentConfig> t{{
+      field("threads", &DeploymentConfig::threads, kAlways),
+  }};
+  return t;
+}
+
+/// The homogeneous form; the pools form writes its SKU, parallelism and
+/// autoscaling per pool instead.
+bool homogeneous(const DeploymentConfig& d) { return d.pools.empty(); }
+
+template <>
+const Table<DeploymentConfig>& table() {
+  using S = DeploymentConfig;
+  using P = ParallelConfig;
+  static const Table<S> t{{
+      field("sku", &S::sku_name, kAlways, homogeneous),
+      field("tensor_parallel", &S::parallel, &P::tensor_parallel, kAlways,
+            homogeneous),
+      field("pipeline_parallel", &S::parallel, &P::pipeline_parallel,
+            kAlways, homogeneous),
+      field("num_replicas", &S::parallel, &P::num_replicas, kAlways,
+            homogeneous),
+      field("pools", &S::pools),
+      field("scheduler", &S::scheduler),
+      field("global_scheduler", &S::global_scheduler),
+      field("async_pipeline_comm", &S::async_pipeline_comm),
+      field("disagg", &S::disagg),
+      field("autoscale", &S::autoscale, Emit::kUnlessDefault, homogeneous),
+      field("prefix_cache", &S::prefix_cache),
+      field("faults", &S::faults),
+      view("execution", execution_table),
+  }};
+  return t;
+}
+
+template <>
+const Table<ArrivalSpec>& table() {
+  using S = ArrivalSpec;
+  static const Table<S> t{{
+      field("kind", &S::kind, kAlways),
+      field("qps", &S::qps, kAlways),
+      field("cv", &S::cv, kAlways),
+  }};
+  return t;
+}
+
+/// The synthetic form; a named scenario writes its name, plus its request
+/// count when the spec overrides the scenario's own.
+bool synthetic(const WorkloadSpec& w) { return w.synthetic(); }
+bool synthetic_or_counted(const WorkloadSpec& w) {
+  return w.synthetic() || w.num_requests != 0;
+}
+
+template <>
+const Table<WorkloadSpec>& table() {
+  using S = WorkloadSpec;
+  static const Table<S> t{{
+      field("scenario", &S::scenario),
+      field("trace", &S::trace, kAlways, synthetic),
+      field("arrival", &S::arrival, kAlways, synthetic),
+      field("num_requests", &S::num_requests, kAlways, synthetic_or_counted),
+  }};
+  return t;
+}
+
+template <>
+struct Codec<WorkloadSpec> : Section<WorkloadSpec> {
+  static void read(const JsonValue& j, WorkloadSpec& w,
+                   const std::string& path) {
+    Section<WorkloadSpec>::read(j, w, path);
+    // A named scenario keeps its own request count unless the spec sets one.
+    if (j.find("scenario") != nullptr && j.find("num_requests") == nullptr)
+      w.num_requests = 0;
+  }
+};
+
+template <>
+const Table<SloSpec>& table() {
+  using S = SloSpec;
+  static const Table<S> t{{
+      field("ttft_target_s", &S::ttft_target, kAlways),
+      field("tbt_target_s", &S::tbt_target, kAlways),
+  }};
+  return t;
+}
+
+template <>
+const Table<SearchSpace>& table() {
+  using S = SearchSpace;
+  static const Table<S> t{{
+      field("skus", &S::skus),
+      field("tp_degrees", &S::tp_degrees),
+      field("pp_degrees", &S::pp_degrees),
+      field("max_total_gpus", &S::max_total_gpus),
+      field("schedulers", &S::schedulers),
+      field("batch_sizes", &S::batch_sizes),
+      field("sarathi_chunk_sizes", &S::sarathi_chunk_sizes),
+      field("max_tokens_per_iteration", &S::max_tokens_per_iteration),
+      field("global_scheduler", &S::global_scheduler),
+  }};
+  return t;
+}
+
+template <>
+const Table<ElasticPlanSpec>& table() {
+  using S = ElasticPlanSpec;
+  static const Table<S> t{{
+      field("slo_target", &S::slo_target, kAlways),
+      field("max_replicas", &S::max_replicas, kAlways),
+      field("burst_slots", &S::burst_slots, kAlways),
+  }};
+  return t;
+}
+
+template <>
+const Table<ObsSpec>& table() {
+  using S = ObsSpec;
+  static const Table<S> t{{
+      field("trace", &S::trace),
+      field("trace_capacity", &S::trace_capacity),
+      field("rolling_window_s", &S::rolling_window_s),
+      field("analyze", &S::analyze),
+  }};
+  return t;
+}
+
+template <>
+const Table<SweepAxes>& table() {
+  using S = SweepAxes;
+  static const Table<S> t{{
+      field("sku", &S::sku),
+      field("tensor_parallel", &S::tensor_parallel),
+      field("pipeline_parallel", &S::pipeline_parallel),
+      field("num_replicas", &S::num_replicas),
+      field("scheduler", &S::scheduler),
+      field("max_batch_size", &S::max_batch_size),
+      field("chunk_size", &S::chunk_size),
+      field("qps", &S::qps),
+  }};
+  return t;
+}
+
+template <>
+const Table<ExperimentSpec>& table() {
+  using S = ExperimentSpec;
+  static const Table<S> t{{
+      field("name", &S::name, kAlways),
+      field("mode", &S::mode, kAlways),
+      field("model", &S::model, kAlways),
+      field("deployment", &S::deployment, kAlways),
+      field("workload", &S::workload, kAlways),
+      field("slo", &S::slo),
+      field("seed", &S::seed),
+      field("tp_degrees", &S::tp_degrees),
+      field("num_threads", &S::num_threads),
+      field("search", &S::search),
+      field("elastic", &S::elastic),
+      field("obs", &S::obs),
+      field("sweep", &S::sweep),
+  }};
+  return t;
 }
 
 }  // namespace
 
 JsonValue ExperimentSpec::to_json() const {
-  const ExperimentSpec d;
-  JsonValue j = JsonValue::object();
-  j.set("name", name);
-  j.set("mode", experiment_mode_name(mode));
-  j.set("model", model);
-  j.set("deployment", deployment_json(deployment));
-  j.set("workload", workload_json(workload));
-  set_unless_default(j, "slo", slo, d.slo, slo_json(slo));
-  set_unless_default(j, "seed", seed, d.seed,
-                     static_cast<std::int64_t>(seed));
-  set_unless_default(j, "tp_degrees", tp_degrees, d.tp_degrees,
-                     number_array(tp_degrees));
-  set_unless_default(j, "num_threads", num_threads, d.num_threads,
-                     num_threads);
-  set_unless_default(j, "search", search, d.search, search_json(search));
-  set_unless_default(j, "elastic", elastic, d.elastic, elastic_json(elastic));
-  set_unless_default(j, "obs", obs, d.obs, obs_json(obs));
-  set_unless_default(j, "sweep", sweep, d.sweep, sweep_json(sweep));
-  return j;
+  return Codec<ExperimentSpec>::write(*this, ExperimentSpec{});
 }
 
 std::string ExperimentSpec::to_json_string() const { return to_json().dump(); }
 
-// ------------------------------------------------------------ from_json
-
-namespace {
-
-/// Strict object reader: every member must match a known field; unknown
-/// keys fail with a did-you-mean so a typo in a spec file is caught at
-/// parse time instead of silently keeping the default.
-class FieldReader {
- public:
-  FieldReader(const JsonValue& obj, std::string context)
-      : obj_(obj), context_(std::move(context)) {
-    VIDUR_CHECK_MSG(obj.is_object(),
-                    "spec section '" << context_ << "' must be a JSON object");
-  }
-
-  /// Register a handler for `key`; runs it when the member is present.
-  template <typename Fn>
-  FieldReader& field(const char* key, Fn&& fn) {
-    known_.push_back(key);
-    if (const JsonValue* v = obj_.find(key)) fn(*v);
-    return *this;
-  }
-
-  /// Call after the last field(): rejects unconsumed keys.
-  void finish() const {
-    for (const auto& [key, value] : obj_.members()) {
-      if (std::find(known_.begin(), known_.end(), key) == known_.end())
-        fail_unknown_name("'" + context_ + "' field", key, known_);
-    }
-  }
-
- private:
-  const JsonValue& obj_;
-  std::string context_;
-  std::vector<std::string> known_;
-};
-
-int to_int(const JsonValue& v, const char* what) {
-  VIDUR_CHECK_MSG(v.is_int(), "spec field '" << what
-                                             << "' must be an integer");
-  const std::int64_t raw = v.as_int();
-  VIDUR_CHECK_MSG(raw >= std::numeric_limits<int>::min() &&
-                      raw <= std::numeric_limits<int>::max(),
-                  "spec field '" << what << "' value " << raw
-                                 << " is out of the 32-bit integer range");
-  return static_cast<int>(raw);
-}
-
-double to_double(const JsonValue& v, const char* what) {
-  VIDUR_CHECK_MSG(v.is_number(), "spec field '" << what
-                                                << "' must be a number");
-  return v.as_double();
-}
-
-bool to_bool(const JsonValue& v, const char* what) {
-  VIDUR_CHECK_MSG(v.is_bool(), "spec field '" << what
-                                              << "' must be a boolean");
-  return v.as_bool();
-}
-
-std::string to_str(const JsonValue& v, const char* what) {
-  VIDUR_CHECK_MSG(v.is_string(), "spec field '" << what
-                                                << "' must be a string");
-  return v.as_string();
-}
-
-std::vector<int> to_int_vec(const JsonValue& v, const char* what) {
-  std::vector<int> out;
-  for (const JsonValue& item : v.items()) out.push_back(to_int(item, what));
-  return out;
-}
-
-std::vector<double> to_double_vec(const JsonValue& v, const char* what) {
-  std::vector<double> out;
-  for (const JsonValue& item : v.items())
-    out.push_back(to_double(item, what));
-  return out;
-}
-
-std::vector<std::string> to_str_vec(const JsonValue& v, const char* what) {
-  std::vector<std::string> out;
-  for (const JsonValue& item : v.items()) out.push_back(to_str(item, what));
-  return out;
-}
-
-std::vector<TokenCount> to_token_vec(const JsonValue& v, const char* what) {
-  std::vector<TokenCount> out;
-  for (const JsonValue& item : v.items())
-    out.push_back(to_int(item, what));
-  return out;
-}
-
-RateProfile profile_from_json(const JsonValue& j) {
-  VIDUR_CHECK_MSG(j.is_object(),
-                  "spec section 'profile' must be a JSON object");
-  // Two passes: the kind decides which parameter names are legal.
-  std::string kind_name = "constant";
-  if (const JsonValue* k = j.find("kind")) kind_name = to_str(*k, "kind");
-  const RateProfileKind kind = rate_profile_kind_from_name(kind_name);
-  switch (kind) {
-    case RateProfileKind::kConstant: {
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {});
-      r.finish();
-      return RateProfile::constant();
-    }
-    case RateProfileKind::kDiurnal: {
-      double period = 0, low = 0, high = 0;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("period_s", [&](const JsonValue& v) {
-            period = to_double(v, "period_s");
-          })
-          .field("low", [&](const JsonValue& v) { low = to_double(v, "low"); })
-          .field("high",
-                 [&](const JsonValue& v) { high = to_double(v, "high"); });
-      r.finish();
-      return RateProfile::diurnal(period, low, high);
-    }
-    case RateProfileKind::kRamp: {
-      double start = 0, end = 0, duration = 0;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("start",
-                 [&](const JsonValue& v) { start = to_double(v, "start"); })
-          .field("end", [&](const JsonValue& v) { end = to_double(v, "end"); })
-          .field("duration_s", [&](const JsonValue& v) {
-            duration = to_double(v, "duration_s");
-          });
-      r.finish();
-      return RateProfile::ramp(start, end, duration);
-    }
-    case RateProfileKind::kSpike: {
-      double baseline = 0, spike = 0, start = 0, duration = 0;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("baseline",
-                 [&](const JsonValue& v) {
-                   baseline = to_double(v, "baseline");
-                 })
-          .field("spike",
-                 [&](const JsonValue& v) { spike = to_double(v, "spike"); })
-          .field("start_s",
-                 [&](const JsonValue& v) { start = to_double(v, "start_s"); })
-          .field("duration_s", [&](const JsonValue& v) {
-            duration = to_double(v, "duration_s");
-          });
-      r.finish();
-      return RateProfile::spike(baseline, spike, start, duration);
-    }
-    case RateProfileKind::kPiecewise: {
-      std::vector<RateStep> steps;
-      FieldReader r(j, "profile");
-      r.field("kind", [](const JsonValue&) {})
-          .field("steps", [&](const JsonValue& v) {
-            for (const JsonValue& item : v.items()) {
-              VIDUR_CHECK_MSG(item.is_array() && item.size() == 2,
-                              "profile step must be a [start_s, factor] pair");
-              steps.push_back(RateStep{to_double(item.items()[0], "step start"),
-                                       to_double(item.items()[1],
-                                                 "step factor")});
-            }
-          });
-      r.finish();
-      return RateProfile::piecewise(std::move(steps));
-    }
-  }
-  throw Error("unhandled RateProfileKind");
-}
-
-ArrivalSpec arrival_from_json(const JsonValue& j) {
-  ArrivalSpec a;
-  FieldReader r(j, "workload.arrival");
-  r.field("kind",
-          [&](const JsonValue& v) {
-            a.kind = arrival_kind_from_name(to_str(v, "kind"));
-          })
-      .field("qps", [&](const JsonValue& v) { a.qps = to_double(v, "qps"); })
-      .field("cv", [&](const JsonValue& v) { a.cv = to_double(v, "cv"); });
-  r.finish();
-  return a;
-}
-
-SloSpec slo_from_json(const JsonValue& j) {
-  SloSpec s;
-  s.ttft_target = 0.0;
-  s.tbt_target = 0.0;
-  FieldReader r(j, "slo");
-  r.field("ttft_target_s",
-          [&](const JsonValue& v) {
-            s.ttft_target = to_double(v, "ttft_target_s");
-          })
-      .field("tbt_target_s", [&](const JsonValue& v) {
-        s.tbt_target = to_double(v, "tbt_target_s");
-      });
-  r.finish();
-  return s;
-}
-
-SchedulerConfig scheduler_from_json(const JsonValue& j) {
-  SchedulerConfig s;
-  FieldReader r(j, "deployment.scheduler");
-  r.field("kind",
-          [&](const JsonValue& v) {
-            s.kind = scheduler_from_name(to_str(v, "kind"));
-          })
-      .field("max_batch_size",
-             [&](const JsonValue& v) {
-               s.max_batch_size = to_int(v, "max_batch_size");
-             })
-      .field("max_tokens_per_iteration",
-             [&](const JsonValue& v) {
-               s.max_tokens_per_iteration =
-                   to_int(v, "max_tokens_per_iteration");
-             })
-      .field("chunk_size",
-             [&](const JsonValue& v) { s.chunk_size = to_int(v, "chunk_size"); })
-      .field("watermark_fraction", [&](const JsonValue& v) {
-        s.watermark_fraction = to_double(v, "watermark_fraction");
-      });
-  r.finish();
-  return s;
-}
-
-DisaggConfig disagg_from_json(const JsonValue& j) {
-  DisaggConfig c;
-  FieldReader r(j, "deployment.disagg");
-  r.field("num_prefill_replicas",
-          [&](const JsonValue& v) {
-            c.num_prefill_replicas = to_int(v, "num_prefill_replicas");
-          })
-      .field("transfer_bandwidth_gbps",
-             [&](const JsonValue& v) {
-               c.transfer_bandwidth_gbps =
-                   to_double(v, "transfer_bandwidth_gbps");
-             })
-      .field("transfer_latency_s", [&](const JsonValue& v) {
-        c.transfer_latency = to_double(v, "transfer_latency_s");
-      });
-  r.finish();
-  return c;
-}
-
-AutoscalerConfig autoscale_from_json(const JsonValue& j,
-                                     const std::string& context) {
-  AutoscalerConfig c;
-  FieldReader r(j, context);
-  r.field("kind",
-          [&](const JsonValue& v) {
-            c.kind = autoscaler_from_name(to_str(v, "kind"));
-          })
-      .field("signal",
-             [&](const JsonValue& v) {
-               c.signal = scale_signal_from_name(to_str(v, "signal"));
-             })
-      .field("target_kv_utilization",
-             [&](const JsonValue& v) {
-               c.target_kv_utilization =
-                   to_double(v, "target_kv_utilization");
-             })
-      .field("scale_up_kv_utilization",
-             [&](const JsonValue& v) {
-               c.scale_up_kv_utilization =
-                   to_double(v, "scale_up_kv_utilization");
-             })
-      .field("scale_down_kv_utilization",
-             [&](const JsonValue& v) {
-               c.scale_down_kv_utilization =
-                   to_double(v, "scale_down_kv_utilization");
-             })
-      .field("min_replicas",
-             [&](const JsonValue& v) {
-               c.min_replicas = to_int(v, "min_replicas");
-             })
-      .field("initial_replicas",
-             [&](const JsonValue& v) {
-               c.initial_replicas = to_int(v, "initial_replicas");
-             })
-      .field("provision_delay_s",
-             [&](const JsonValue& v) {
-               c.provision_delay = to_double(v, "provision_delay_s");
-             })
-      .field("warmup_delay_s",
-             [&](const JsonValue& v) {
-               c.warmup_delay = to_double(v, "warmup_delay_s");
-             })
-      .field("decision_interval_s",
-             [&](const JsonValue& v) {
-               c.decision_interval = to_double(v, "decision_interval_s");
-             })
-      .field("scale_up_cooldown_s",
-             [&](const JsonValue& v) {
-               c.scale_up_cooldown = to_double(v, "scale_up_cooldown_s");
-             })
-      .field("scale_down_cooldown_s",
-             [&](const JsonValue& v) {
-               c.scale_down_cooldown = to_double(v, "scale_down_cooldown_s");
-             })
-      .field("max_scale_step",
-             [&](const JsonValue& v) {
-               c.max_scale_step = to_int(v, "max_scale_step");
-             })
-      .field("target_load_per_replica",
-             [&](const JsonValue& v) {
-               c.target_load_per_replica =
-                   to_double(v, "target_load_per_replica");
-             })
-      .field("scale_up_load",
-             [&](const JsonValue& v) {
-               c.scale_up_load = to_double(v, "scale_up_load");
-             })
-      .field("scale_down_load",
-             [&](const JsonValue& v) {
-               c.scale_down_load = to_double(v, "scale_down_load");
-             })
-      .field("profile",
-             [&](const JsonValue& v) { c.profile = profile_from_json(v); })
-      .field("baseline_qps",
-             [&](const JsonValue& v) {
-               c.baseline_qps = to_double(v, "baseline_qps");
-             })
-      .field("replica_capacity_qps",
-             [&](const JsonValue& v) {
-               c.replica_capacity_qps = to_double(v, "replica_capacity_qps");
-             })
-      .field("headroom",
-             [&](const JsonValue& v) { c.headroom = to_double(v, "headroom"); })
-      .field("lookahead_s", [&](const JsonValue& v) {
-        c.lookahead = to_double(v, "lookahead_s");
-      });
-  r.finish();
-  return c;
-}
-
-PrefixCacheConfig prefix_cache_from_json(const JsonValue& j) {
-  PrefixCacheConfig c;
-  FieldReader r(j, "deployment.prefix_cache");
-  r.field("enabled",
-          [&](const JsonValue& v) { c.enabled = to_bool(v, "enabled"); })
-      .field("capacity_fraction", [&](const JsonValue& v) {
-        c.capacity_fraction = to_double(v, "capacity_fraction");
-      });
-  r.finish();
-  return c;
-}
-
-FaultProfile fault_profile_from_json(const JsonValue& j) {
-  FaultProfile p;
-  std::string context = "deployment.faults.profiles[]";
-  if (const JsonValue* n = j.find("pool"); n != nullptr && n->is_string())
-    context = "deployment.faults.profiles['" + n->as_string() + "']";
-  FieldReader r(j, context);
-  r.field("pool", [&](const JsonValue& v) { p.pool = to_str(v, "pool"); })
-      .field("crash_mtbf_s",
-             [&](const JsonValue& v) {
-               p.crash_mtbf_s = to_double(v, "crash_mtbf_s");
-             })
-      .field("spot_windows",
-             [&](const JsonValue& v) {
-               VIDUR_CHECK_MSG(v.is_array(),
-                               "spec field 'spot_windows' must be an array "
-                               "of window objects");
-               for (const JsonValue& item : v.items()) {
-                 SpotWindow w;
-                 FieldReader wr(item, context + ".spot_windows[]");
-                 wr.field("start_s",
-                          [&](const JsonValue& x) {
-                            w.start = to_double(x, "start_s");
-                          })
-                     .field("duration_s",
-                            [&](const JsonValue& x) {
-                              w.duration = to_double(x, "duration_s");
-                            })
-                     .field("replicas",
-                            [&](const JsonValue& x) {
-                              w.replicas = to_int(x, "replicas");
-                            })
-                     .field("notice_s", [&](const JsonValue& x) {
-                       w.notice = to_double(x, "notice_s");
-                     });
-                 wr.finish();
-                 p.spot_windows.push_back(w);
-               }
-             })
-      .field("degrade_mtbf_s",
-             [&](const JsonValue& v) {
-               p.degrade_mtbf_s = to_double(v, "degrade_mtbf_s");
-             })
-      .field("degrade_factor",
-             [&](const JsonValue& v) {
-               p.degrade_factor = to_double(v, "degrade_factor");
-             })
-      .field("degrade_duration_s", [&](const JsonValue& v) {
-        p.degrade_duration_s = to_double(v, "degrade_duration_s");
-      });
-  r.finish();
-  return p;
-}
-
-FaultConfig faults_from_json(const JsonValue& j) {
-  FaultConfig c;
-  FieldReader r(j, "deployment.faults");
-  r.field("seed",
-          [&](const JsonValue& v) {
-            c.seed = static_cast<std::uint64_t>(v.as_int());
-          })
-      .field("profiles",
-             [&](const JsonValue& v) {
-               VIDUR_CHECK_MSG(v.is_array(),
-                               "spec field 'deployment.faults.profiles' must "
-                               "be an array of profile objects");
-               for (const JsonValue& item : v.items())
-                 c.profiles.push_back(fault_profile_from_json(item));
-             })
-      .field("recovery",
-             [&](const JsonValue& v) {
-               FieldReader rr(v, "deployment.faults.recovery");
-               rr.field("max_attempts",
-                        [&](const JsonValue& x) {
-                          c.recovery.max_attempts = to_int(x, "max_attempts");
-                        })
-                   .field("backoff_base_s",
-                          [&](const JsonValue& x) {
-                            c.recovery.backoff_base_s =
-                                to_double(x, "backoff_base_s");
-                          })
-                   .field("backoff_multiplier",
-                          [&](const JsonValue& x) {
-                            c.recovery.backoff_multiplier =
-                                to_double(x, "backoff_multiplier");
-                          })
-                   .field("jitter", [&](const JsonValue& x) {
-                     c.recovery.jitter = to_double(x, "jitter");
-                   });
-               rr.finish();
-             })
-      .field("shed", [&](const JsonValue& v) {
-        FieldReader sr(v, "deployment.faults.shed");
-        sr.field("min_active_replicas",
-                 [&](const JsonValue& x) {
-                   c.shed.min_active_replicas =
-                       to_int(x, "min_active_replicas");
-                 })
-            .field("max_shed_priority", [&](const JsonValue& x) {
-              c.shed.max_shed_priority = to_int(x, "max_shed_priority");
-            });
-        sr.finish();
-      });
-  r.finish();
-  return c;
-}
-
-PoolSpec pool_from_json(const JsonValue& j) {
-  PoolSpec p;
-  // Read the name first so field errors can cite the pool.
-  std::string context = "deployment.pools[]";
-  if (const JsonValue* n = j.find("name"); n != nullptr && n->is_string())
-    context = "deployment.pools['" + n->as_string() + "']";
-  FieldReader r(j, context);
-  r.field("name", [&](const JsonValue& v) { p.name = to_str(v, "name"); })
-      .field("sku",
-             [&](const JsonValue& v) { p.sku_name = to_str(v, "sku"); })
-      .field("role",
-             [&](const JsonValue& v) {
-               const std::string role = to_str(v, "role");
-               // check_name carries the did-you-mean for typo'd roles.
-               check_name("pool role", role, pool_role_names());
-               p.role = pool_role_from_name(role);
-             })
-      .field("tensor_parallel",
-             [&](const JsonValue& v) {
-               p.parallel.tensor_parallel = to_int(v, "tensor_parallel");
-             })
-      .field("pipeline_parallel",
-             [&](const JsonValue& v) {
-               p.parallel.pipeline_parallel = to_int(v, "pipeline_parallel");
-             })
-      .field("num_replicas",
-             [&](const JsonValue& v) {
-               p.parallel.num_replicas = to_int(v, "num_replicas");
-             })
-      .field("cost_per_gpu_hour",
-             [&](const JsonValue& v) {
-               p.cost_per_gpu_hour = to_double(v, "cost_per_gpu_hour");
-             })
-      .field("capacity_qps",
-             [&](const JsonValue& v) {
-               p.capacity_qps = to_double(v, "capacity_qps");
-             })
-      .field("autoscale", [&](const JsonValue& v) {
-        p.autoscale = autoscale_from_json(v, context + ".autoscale");
-      });
-  r.finish();
-  return p;
-}
-
-DeploymentConfig deployment_from_json(const JsonValue& j) {
-  DeploymentConfig c;
-  FieldReader r(j, "deployment");
-  r.field("sku", [&](const JsonValue& v) { c.sku_name = to_str(v, "sku"); })
-      .field("tensor_parallel",
-             [&](const JsonValue& v) {
-               c.parallel.tensor_parallel = to_int(v, "tensor_parallel");
-             })
-      .field("pipeline_parallel",
-             [&](const JsonValue& v) {
-               c.parallel.pipeline_parallel = to_int(v, "pipeline_parallel");
-             })
-      .field("num_replicas",
-             [&](const JsonValue& v) {
-               c.parallel.num_replicas = to_int(v, "num_replicas");
-             })
-      .field("scheduler",
-             [&](const JsonValue& v) { c.scheduler = scheduler_from_json(v); })
-      .field("global_scheduler",
-             [&](const JsonValue& v) {
-               c.global_scheduler =
-                   global_scheduler_from_name(to_str(v, "global_scheduler"));
-             })
-      .field("async_pipeline_comm",
-             [&](const JsonValue& v) {
-               c.async_pipeline_comm = to_bool(v, "async_pipeline_comm");
-             })
-      .field("disagg",
-             [&](const JsonValue& v) { c.disagg = disagg_from_json(v); })
-      .field("autoscale",
-             [&](const JsonValue& v) {
-               c.autoscale = autoscale_from_json(v, "deployment.autoscale");
-             })
-      .field("pools",
-             [&](const JsonValue& v) {
-               VIDUR_CHECK_MSG(v.is_array(),
-                               "spec field 'deployment.pools' must be an "
-                               "array of pool objects");
-               for (const JsonValue& item : v.items())
-                 c.pools.push_back(pool_from_json(item));
-             })
-      .field("prefix_cache",
-             [&](const JsonValue& v) {
-               c.prefix_cache = prefix_cache_from_json(v);
-             })
-      .field("faults",
-             [&](const JsonValue& v) { c.faults = faults_from_json(v); })
-      .field("execution", [&](const JsonValue& v) {
-        FieldReader e(v, "deployment.execution");
-        e.field("threads",
-                [&](const JsonValue& t) { c.threads = to_int(t, "threads"); });
-        e.finish();
-      });
-  r.finish();
-  return c;
-}
-
-WorkloadSpec workload_from_json(const JsonValue& j) {
-  WorkloadSpec w;
-  bool named = false;
-  FieldReader r(j, "workload");
-  r.field("scenario",
-          [&](const JsonValue& v) {
-            w.scenario = to_str(v, "scenario");
-            named = true;
-          })
-      .field("trace",
-             [&](const JsonValue& v) { w.trace = to_str(v, "trace"); })
-      .field("arrival",
-             [&](const JsonValue& v) { w.arrival = arrival_from_json(v); })
-      .field("num_requests", [&](const JsonValue& v) {
-        w.num_requests = to_int(v, "num_requests");
-      });
-  r.finish();
-  // A named scenario leaves num_requests at "keep the scenario default"
-  // unless the spec overrides it explicitly.
-  if (named && j.find("num_requests") == nullptr) w.num_requests = 0;
-  return w;
-}
-
-SearchSpace search_from_json(const JsonValue& j) {
-  SearchSpace s;
-  FieldReader r(j, "search");
-  r.field("skus",
-          [&](const JsonValue& v) { s.skus = to_str_vec(v, "skus"); })
-      .field("tp_degrees",
-             [&](const JsonValue& v) {
-               s.tp_degrees = to_int_vec(v, "tp_degrees");
-             })
-      .field("pp_degrees",
-             [&](const JsonValue& v) {
-               s.pp_degrees = to_int_vec(v, "pp_degrees");
-             })
-      .field("max_total_gpus",
-             [&](const JsonValue& v) {
-               s.max_total_gpus = to_int(v, "max_total_gpus");
-             })
-      .field("schedulers",
-             [&](const JsonValue& v) {
-               s.schedulers.clear();
-               for (const std::string& n : to_str_vec(v, "schedulers"))
-                 s.schedulers.push_back(scheduler_from_name(n));
-             })
-      .field("batch_sizes",
-             [&](const JsonValue& v) {
-               s.batch_sizes = to_int_vec(v, "batch_sizes");
-             })
-      .field("sarathi_chunk_sizes",
-             [&](const JsonValue& v) {
-               s.sarathi_chunk_sizes = to_token_vec(v, "sarathi_chunk_sizes");
-             })
-      .field("max_tokens_per_iteration",
-             [&](const JsonValue& v) {
-               s.max_tokens_per_iteration =
-                   to_int(v, "max_tokens_per_iteration");
-             })
-      .field("global_scheduler", [&](const JsonValue& v) {
-        s.global_scheduler =
-            global_scheduler_from_name(to_str(v, "global_scheduler"));
-      });
-  r.finish();
-  return s;
-}
-
-ElasticPlanSpec elastic_from_json(const JsonValue& j) {
-  ElasticPlanSpec e;
-  FieldReader r(j, "elastic");
-  r.field("slo_target",
-          [&](const JsonValue& v) {
-            e.slo_target = to_double(v, "slo_target");
-          })
-      .field("max_replicas",
-             [&](const JsonValue& v) {
-               e.max_replicas = to_int(v, "max_replicas");
-             })
-      .field("burst_slots", [&](const JsonValue& v) {
-        e.burst_slots = to_int(v, "burst_slots");
-      });
-  r.finish();
-  return e;
-}
-
-ObsSpec obs_from_json(const JsonValue& j) {
-  ObsSpec o;
-  FieldReader r(j, "obs");
-  r.field("trace",
-          [&](const JsonValue& v) { o.trace = to_bool(v, "trace"); })
-      .field("trace_capacity",
-             [&](const JsonValue& v) {
-               o.trace_capacity = to_int(v, "trace_capacity");
-             })
-      .field("rolling_window_s",
-             [&](const JsonValue& v) {
-               o.rolling_window_s = to_double(v, "rolling_window_s");
-             })
-      .field("analyze", [&](const JsonValue& v) {
-        o.analyze = to_bool(v, "analyze");
-      });
-  r.finish();
-  return o;
-}
-
-SweepAxes sweep_from_json(const JsonValue& j) {
-  SweepAxes s;
-  FieldReader r(j, "sweep");
-  r.field("sku", [&](const JsonValue& v) { s.sku = to_str_vec(v, "sku"); })
-      .field("tensor_parallel",
-             [&](const JsonValue& v) {
-               s.tensor_parallel = to_int_vec(v, "tensor_parallel");
-             })
-      .field("pipeline_parallel",
-             [&](const JsonValue& v) {
-               s.pipeline_parallel = to_int_vec(v, "pipeline_parallel");
-             })
-      .field("num_replicas",
-             [&](const JsonValue& v) {
-               s.num_replicas = to_int_vec(v, "num_replicas");
-             })
-      .field("scheduler",
-             [&](const JsonValue& v) {
-               s.scheduler = to_str_vec(v, "scheduler");
-             })
-      .field("max_batch_size",
-             [&](const JsonValue& v) {
-               s.max_batch_size = to_int_vec(v, "max_batch_size");
-             })
-      .field("chunk_size",
-             [&](const JsonValue& v) {
-               s.chunk_size = to_token_vec(v, "chunk_size");
-             })
-      .field("qps",
-             [&](const JsonValue& v) { s.qps = to_double_vec(v, "qps"); });
-  r.finish();
-  return s;
-}
-
-}  // namespace
-
 ExperimentSpec ExperimentSpec::from_json(const JsonValue& json) {
   ExperimentSpec spec;
-  FieldReader r(json, "experiment");
-  r.field("name",
-          [&](const JsonValue& v) { spec.name = to_str(v, "name"); })
-      .field("mode",
-             [&](const JsonValue& v) {
-               spec.mode = experiment_mode_from_name(to_str(v, "mode"));
-             })
-      .field("model",
-             [&](const JsonValue& v) { spec.model = to_str(v, "model"); })
-      .field("deployment",
-             [&](const JsonValue& v) {
-               spec.deployment = deployment_from_json(v);
-             })
-      .field("workload",
-             [&](const JsonValue& v) {
-               spec.workload = workload_from_json(v);
-             })
-      .field("slo", [&](const JsonValue& v) { spec.slo = slo_from_json(v); })
-      .field("seed",
-             [&](const JsonValue& v) {
-               spec.seed = static_cast<std::uint64_t>(v.as_int());
-             })
-      .field("tp_degrees",
-             [&](const JsonValue& v) {
-               spec.tp_degrees = to_int_vec(v, "tp_degrees");
-             })
-      .field("num_threads",
-             [&](const JsonValue& v) {
-               spec.num_threads = to_int(v, "num_threads");
-             })
-      .field("search",
-             [&](const JsonValue& v) { spec.search = search_from_json(v); })
-      .field("elastic",
-             [&](const JsonValue& v) { spec.elastic = elastic_from_json(v); })
-      .field("obs", [&](const JsonValue& v) { spec.obs = obs_from_json(v); })
-      .field("sweep",
-             [&](const JsonValue& v) { spec.sweep = sweep_from_json(v); });
-  r.finish();
+  Codec<ExperimentSpec>::read(json, spec, "");
   return spec;
 }
 

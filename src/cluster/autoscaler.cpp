@@ -138,12 +138,6 @@ const std::string& scale_signal_name(ScaleSignal signal) {
   throw Error("unhandled ScaleSignal");
 }
 
-ScaleSignal scale_signal_from_name(const std::string& name) {
-  for (const auto& [s, n] : signal_names())
-    if (n == name) return s;
-  throw Error("unknown scale signal: " + name);
-}
-
 void AutoscalerConfig::validate() const {
   if (!enabled()) return;
   VIDUR_CHECK_MSG(min_replicas >= 1, "autoscaler: min_replicas must be >= 1");

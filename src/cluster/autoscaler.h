@@ -45,7 +45,6 @@ enum class ScaleSignal {
 };
 
 const std::string& scale_signal_name(ScaleSignal signal);
-ScaleSignal scale_signal_from_name(const std::string& name);
 
 struct AutoscalerConfig {
   AutoscalerKind kind = AutoscalerKind::kNone;

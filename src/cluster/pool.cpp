@@ -27,21 +27,6 @@ const std::string& pool_role_name(PoolRole role) {
   throw Error("unhandled PoolRole");
 }
 
-PoolRole pool_role_from_name(const std::string& name) {
-  for (const auto& [r, n] : role_names())
-    if (n == name) return r;
-  throw Error("unknown pool role: " + name);
-}
-
-const std::vector<std::string>& pool_role_names() {
-  static const std::vector<std::string> all = [] {
-    std::vector<std::string> out;
-    for (const auto& [r, n] : role_names()) out.push_back(n);
-    return out;
-  }();
-  return all;
-}
-
 double PoolSpec::effective_cost_per_gpu_hour() const {
   return cost_per_gpu_hour > 0 ? cost_per_gpu_hour
                                : sku_by_name(sku_name).cost_per_hour;

@@ -34,9 +34,6 @@ enum class PoolRole {
 };
 
 const std::string& pool_role_name(PoolRole role);
-PoolRole pool_role_from_name(const std::string& name);
-/// Every role name, in declaration order (for listings / did-you-mean).
-const std::vector<std::string>& pool_role_names();
 
 /// One named pool of identical replica slots.
 struct PoolSpec {

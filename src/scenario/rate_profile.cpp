@@ -31,12 +31,6 @@ const std::string& rate_profile_kind_name(RateProfileKind kind) {
   throw Error("unhandled RateProfileKind");
 }
 
-RateProfileKind rate_profile_kind_from_name(const std::string& name) {
-  for (const auto& [k, n] : kind_names())
-    if (n == name) return k;
-  throw Error("unknown rate profile kind: " + name);
-}
-
 RateProfile RateProfile::constant() { return RateProfile{}; }
 
 RateProfile RateProfile::diurnal(Seconds period, double low, double high) {

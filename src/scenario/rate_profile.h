@@ -24,9 +24,8 @@ enum class RateProfileKind {
   kPiecewise,  ///< step schedule: explicit (start_time, factor) segments
 };
 
-/// Stable name, e.g. "diurnal". Inverse: rate_profile_kind_from_name.
+/// Stable name, e.g. "diurnal".
 const std::string& rate_profile_kind_name(RateProfileKind kind);
-RateProfileKind rate_profile_kind_from_name(const std::string& name);
 
 /// One step of a piecewise schedule: `factor` applies from `start_time`
 /// until the next step's start (the last step holds forever).

@@ -117,12 +117,6 @@ const std::string& arrival_kind_name(ArrivalKind kind) {
   throw Error("unhandled ArrivalKind");
 }
 
-ArrivalKind arrival_kind_from_name(const std::string& name) {
-  for (const auto& [k, n] : arrival_names())
-    if (n == name) return k;
-  throw Error("unknown arrival kind: " + name);
-}
-
 void ArrivalSpec::validate() const {
   if (kind == ArrivalKind::kStatic) return;
   VIDUR_CHECK_MSG(std::isfinite(qps) && qps > 0,

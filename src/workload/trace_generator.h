@@ -55,9 +55,8 @@ enum class ArrivalKind {
   kGamma,    ///< gamma-renewal process: bursty arrivals with CV > 1
 };
 
-/// Stable name, e.g. "poisson". Inverse: arrival_kind_from_name.
+/// Stable name, e.g. "poisson".
 const std::string& arrival_kind_name(ArrivalKind kind);
-ArrivalKind arrival_kind_from_name(const std::string& name);
 
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::kStatic;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "api/run.h"
 #include "common/check.h"
@@ -301,6 +302,66 @@ TEST(ExperimentSpecJson, OutOfRangeIntFieldsRejectedNotTruncated) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("out of the 32-bit integer range"),
               std::string::npos);
+  }
+}
+
+TEST(ExperimentSpecJson, PresentSectionsParseOntoTheSpecDefaults) {
+  // An empty section leaves every field at the spec's default, at every
+  // level.
+  for (const char* json : {
+           R"({"deployment": {}})",
+           R"({"deployment": {"scheduler": {}, "disagg": {}}})",
+           R"({"deployment": {"autoscale": {"profile": {}}}})",
+           R"({"deployment": {"prefix_cache": {}, "execution": {}}})",
+           R"({"deployment": {"faults": {"recovery": {}, "shed": {}}}})",
+           R"({"workload": {}})",
+           R"({"workload": {"arrival": {}}})",
+           R"({"slo": {}})",
+           R"({"search": {}})",
+           R"({"elastic": {}})",
+           R"({"obs": {}})",
+           R"({"sweep": {}})",
+       })
+    EXPECT_EQ(ExperimentSpec::from_json_string(json), ExperimentSpec{})
+        << json;
+
+  // A partial section keeps the spec's default for every key it omits.
+  const ExperimentSpec arrival = ExperimentSpec::from_json_string(
+      R"({"workload": {"arrival": {"qps": 3}}})");
+  EXPECT_EQ(arrival.workload.arrival,
+            (ArrivalSpec{ArrivalKind::kPoisson, 3.0, 2.0}));
+  const ExperimentSpec slo =
+      ExperimentSpec::from_json_string(R"({"slo": {"ttft_target_s": 1}})");
+  EXPECT_EQ(slo.slo, (SloSpec{1.0, 0.2}));
+}
+
+TEST(ExperimentSpecJson, ParseErrorsNameTheFullPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"seed": "x"})", "spec field 'seed' must be an integer"},
+      {R"({"search": {"skus": "a100"}})",
+       "spec field 'search.skus' must be an array"},
+      {R"({"obs": {"trace": 1}})", "spec field 'obs.trace' must be a boolean"},
+      {R"({"deployment": {"scheduler": {"kind": "vlm"}}})",
+       "spec field 'deployment.scheduler.kind': unknown scheduler 'vlm' "
+       "(did you mean 'vllm'?)"},
+      {R"({"workload": {"arrival": {"kind": "poison"}}})",
+       "spec field 'workload.arrival.kind': unknown arrival kind 'poison' "
+       "(did you mean 'poisson'?)"},
+      {R"({"deployment": {"pools": [
+           {"name": "a", "autoscale": {"min_replicas": 1.5}}]}})",
+       "spec field 'deployment.pools['a'].autoscale.min_replicas' must be an "
+       "integer"},
+      {R"({"sweep": {"chunk_size": [512, true]}})",
+       "spec field 'sweep.chunk_size[1]' must be an integer"},
+  };
+  for (const auto& [json, needle] : cases) {
+    std::string msg;
+    try {
+      ExperimentSpec::from_json_string(json);
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find(needle), std::string::npos) << json << "\n" << msg;
   }
 }
 

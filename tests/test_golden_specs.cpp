@@ -10,11 +10,16 @@
 // (request counts, which pools scaled) are exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <exception>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/run.h"
+#include "common/random.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 
@@ -23,13 +28,27 @@ namespace {
 
 constexpr double kTol = 0.02;  ///< 2% relative tolerance
 
-ExperimentSpec load_spec(const std::string& name) {
-  const std::string path = std::string(VIDUR_SPEC_DIR) + "/" + name;
+std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
   std::ostringstream text;
   text << in.rdbuf();
-  return ExperimentSpec::from_json_string(text.str());
+  return text.str();
+}
+
+ExperimentSpec load_spec(const std::string& name) {
+  return ExperimentSpec::from_json_string(
+      read_file(std::filesystem::path(VIDUR_SPEC_DIR) / name));
+}
+
+/// Every committed spec file, sorted by name.
+std::vector<std::filesystem::path> spec_paths() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VIDUR_SPEC_DIR))
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
 void expect_near_rel(double actual, double golden, const char* what) {
@@ -222,23 +241,72 @@ TEST(GoldenSpecs, SpotChurnSurvivesPreemptionWithoutLosingRequests) {
 }
 
 TEST(GoldenSpecs, GoldenSpecsAreCanonicallySerialized) {
-  // The committed files must be the exact fixed point of the serializer,
+  // Every committed spec must be the exact fixed point of the serializer,
   // so hand edits that survive a round trip cannot drift the formatting.
-  for (const char* name : {"elastic-hetero.json", "disagg-autoscale.json",
-                           "session-chat.json", "spot-churn.json"}) {
-    const std::string path = std::string(VIDUR_SPEC_DIR) + "/" + name;
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string committed = text.str();
-    // Tolerate exactly one trailing newline.
-    if (!committed.empty() && committed.back() == '\n') committed.pop_back();
-    const ExperimentSpec spec = ExperimentSpec::from_json_string(committed);
-    EXPECT_EQ(spec.to_json_string(), committed)
-        << name << " is not canonically serialized; regenerate it with "
+  const std::vector<std::filesystem::path> paths = spec_paths();
+  ASSERT_FALSE(paths.empty()) << "no specs in " << VIDUR_SPEC_DIR;
+  for (const std::filesystem::path& path : paths) {
+    std::string committed = read_file(path);
+    const std::string canonical =
+        ExperimentSpec::from_json_string(committed).to_json_string();
+    // Tolerate exactly one extra trailing newline.
+    if (committed == canonical + "\n") committed.pop_back();
+    EXPECT_EQ(canonical, committed)
+        << path << " is not canonically serialized; regenerate it with "
         << "ExperimentSpec::to_json_string()";
   }
+}
+
+TEST(GoldenSpecs, MutatedSpecsFailOnlyWithVidurErrors) {
+  // Seeded byte flips, truncations, short deletions and hostile token
+  // insertions into every committed spec. Each mutant must parse or throw
+  // vidur::Error, and a parsed mutant must validate or throw vidur::Error:
+  // no other exception may escape the reader or validate().
+  const std::vector<std::string> tokens = {
+      "1e400", "\"", "9223372036854775808", "\\ud800", "-1", "2147483648",
+      "-9223372036854775809", "1.5", "0", "null", "true", "\"\"", "[]",
+      "{}", "{", "}", "[", "]", ",", ":"};
+  Rng rng(20261017);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  int parsed = 0, valid = 0;
+  for (const std::filesystem::path& path : spec_paths()) {
+    const std::string text = read_file(path);
+    for (int i = 0; i < 1000; ++i) {
+      std::string mutant = text;
+      const std::size_t pos = below(mutant.size());
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << below(8)));
+          break;
+        case 1:
+          mutant.resize(pos);
+          break;
+        case 2:
+          mutant.erase(pos, 1 + below(8));
+          break;
+        default:
+          mutant.insert(pos, tokens[below(tokens.size())]);
+          break;
+      }
+      try {
+        const ExperimentSpec spec = ExperimentSpec::from_json_string(mutant);
+        ++parsed;
+        spec.validate();
+        ++valid;
+      } catch (const Error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << path << ": " << e.what() << " escaped for\n"
+                      << mutant;
+      }
+    }
+  }
+  // Enough mutants must reach past the JSON parser for the harness to
+  // exercise the spec reader and validate().
+  EXPECT_GT(parsed, 200);
+  EXPECT_GT(valid, 100);
 }
 
 }  // namespace
