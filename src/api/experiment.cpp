@@ -236,8 +236,18 @@ void ExperimentSpec::validate() const {
                   return os.str();
                 }() << "]; add it to tp_degrees so onboarding profiles it");
   };
-  if (deployment.pools.empty())
+  deployment.disagg.validate();
+  if (deployment.pools.empty()) {
     check_tp_covered(deployment.parallel.tensor_parallel, "deployment");
+    VIDUR_CHECK_MSG(
+        deployment.disagg.num_prefill_replicas <
+            deployment.parallel.num_replicas,
+        "deployment.disagg.num_prefill_replicas ("
+            << deployment.disagg.num_prefill_replicas
+            << ") must be below deployment.num_replicas ("
+            << deployment.parallel.num_replicas
+            << "): disaggregation requires at least one decode replica");
+  }
 
   VIDUR_CHECK_MSG(
       !(deployment.disagg.enabled() && deployment.autoscale.enabled()),

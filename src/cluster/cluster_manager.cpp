@@ -9,19 +9,6 @@
 
 namespace vidur {
 
-namespace {
-
-std::vector<ClusterManager::ManagedPool> single_pool(AutoscalerConfig config,
-                                                     int fleet_size) {
-  ClusterManager::ManagedPool pool;
-  pool.name = "fleet";
-  pool.slots = fleet_size;
-  pool.autoscale = std::move(config);
-  return {std::move(pool)};
-}
-
-}  // namespace
-
 ClusterManager::ClusterManager(std::vector<ManagedPool> pools,
                                EventQueue* events, Hooks hooks)
     : events_(events), hooks_(std::move(hooks)) {
@@ -124,11 +111,6 @@ ClusterManager::ClusterManager(std::vector<ManagedPool> pools,
   // instead of a fresh std::function per tick.
   events_->set_tick_handler([this] { evaluate(); });
 }
-
-ClusterManager::ClusterManager(AutoscalerConfig config, int fleet_size,
-                               EventQueue* events, Hooks hooks)
-    : ClusterManager(single_pool(std::move(config), fleet_size), events,
-                     std::move(hooks)) {}
 
 ClusterManager::~ClusterManager() { events_->set_tick_handler(nullptr); }
 
@@ -341,11 +323,8 @@ void ClusterManager::scale_down_group(Group& group, int n, Seconds now) {
 }
 
 void ClusterManager::notify_idle(ReplicaId replica) {
-  notify_idle(replica, events_->now());
-}
-
-void ClusterManager::notify_idle(ReplicaId replica, Seconds now) {
   if (state(replica) != ReplicaState::kDraining) return;
+  const Seconds now = events_->now();
   auto& since = up_since_[static_cast<std::size_t>(replica)];
   pools_[static_cast<std::size_t>(pool_of(replica))].paid.emplace_back(since,
                                                                        now);
@@ -402,16 +381,6 @@ void ClusterManager::transition(ReplicaId replica, ReplicaState to,
     pool.timeline.push_back(ReplicaCountSample{now, pool_active});
 }
 
-ClusterScalingReport ClusterManager::report(Seconds end_time) const {
-  return report_impl(end_time, 0, -1.0);
-}
-
-ClusterScalingReport ClusterManager::report(Seconds end_time,
-                                            int gpus_per_replica,
-                                            double cost_per_gpu_hour) const {
-  return report_impl(end_time, gpus_per_replica, cost_per_gpu_hour);
-}
-
 namespace {
 
 /// Time-weighted mean of an active-count step function over [0, end].
@@ -430,8 +399,7 @@ double timeline_mean(const std::vector<ReplicaCountSample>& timeline,
 
 }  // namespace
 
-ClusterScalingReport ClusterManager::report_impl(
-    Seconds end_time, int gpus_override, double cost_override) const {
+ClusterScalingReport ClusterManager::report(Seconds end_time) const {
   ClusterScalingReport report;
   report.enabled = true;
   report.fleet_size = fleet_size_;
@@ -450,10 +418,8 @@ ClusterScalingReport ClusterManager::report_impl(
     p.autoscaled = pool.info.autoscale.enabled();
     p.min_replicas = pool.info.floor_replicas();
     p.initial_replicas = pool.info.initial_active();
-    p.gpus_per_replica =
-        gpus_override > 0 ? gpus_override : pool.info.gpus_per_replica;
-    p.cost_per_gpu_hour =
-        cost_override >= 0 ? cost_override : pool.info.cost_per_gpu_hour;
+    p.gpus_per_replica = pool.info.gpus_per_replica;
+    p.cost_per_gpu_hour = pool.info.cost_per_gpu_hour;
     p.peak_active = pool.peak_active;
     p.num_scale_up_events = pool.num_ups;
     p.num_scale_down_events = pool.num_downs;

@@ -90,15 +90,11 @@ class ClusterManager {
     }
   };
 
-  /// Heterogeneous fleet: slots are laid out pool by pool, in order. At
-  /// least one pool must autoscale. Throws vidur::Error on invalid
-  /// configuration (group inconsistency, floors above ceilings, a
-  /// KV-pressure pool without the KV hook, ...).
+  /// Slots are laid out pool by pool, in order. At least one pool must
+  /// autoscale. Throws vidur::Error on invalid configuration (group
+  /// inconsistency, floors above ceilings, a KV-pressure pool without the
+  /// KV hook, ...).
   ClusterManager(std::vector<ManagedPool> pools, EventQueue* events,
-                 Hooks hooks);
-  /// Homogeneous fleet: one pool named "fleet" holding `fleet_size` slots.
-  /// GPU count and cost rate are supplied at report() time.
-  ClusterManager(AutoscalerConfig config, int fleet_size, EventQueue* events,
                  Hooks hooks);
   /// Unregisters the tick handler; a tick still pending in the queue then
   /// fails fast instead of invoking a destroyed manager.
@@ -136,13 +132,9 @@ class ClusterManager {
   }
 
   /// Simulator notification: `replica` has no outstanding work and no batch
-  /// in flight. Completes a pending drain; a no-op in any other state.
+  /// in flight. Completes a pending drain at the current event time; a
+  /// no-op in any other state.
   void notify_idle(ReplicaId replica);
-  /// Same, at an explicit timestamp. The sharded simulator defers idle
-  /// notifications discovered inside a window round and replays them at the
-  /// merge barrier, when the central clock has not yet advanced to the
-  /// shard-local time the drain actually completed.
-  void notify_idle(ReplicaId replica, Seconds now);
 
   /// Fault-injection entry points (src/fault/). Both act on the lifecycle
   /// only — the simulator tears down scheduler/KV state around them.
@@ -166,10 +158,6 @@ class ClusterManager {
   /// Capacity/cost accounting up to `end_time` (replicas still up accrue
   /// until then), per pool and in total.
   ClusterScalingReport report(Seconds end_time) const;
-  /// Homogeneous-fleet form: bills every pool at the given GPU count and
-  /// rate (the single-pool constructor does not know them up front).
-  ClusterScalingReport report(Seconds end_time, int gpus_per_replica,
-                              double cost_per_gpu_hour) const;
 
  private:
   struct Pool {
@@ -211,8 +199,6 @@ class ClusterManager {
   /// Decommissioned slots of `pool` whose re-provision hold has expired —
   /// the slots scale_up_group may actually take at `now`.
   int available_slots(const Pool& pool, Seconds now) const;
-  ClusterScalingReport report_impl(Seconds end_time, int gpus_override,
-                                   double cost_override) const;
 
   int fleet_size_ = 0;
   EventQueue* events_;

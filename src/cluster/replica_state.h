@@ -38,12 +38,16 @@ struct ScalingEvent {
   ReplicaId replica = 0;
   ReplicaState from = ReplicaState::kDecommissioned;
   ReplicaState to = ReplicaState::kDecommissioned;
+
+  bool operator==(const ScalingEvent&) const = default;
 };
 
 /// A step sample of the active-replica count (taken at every transition).
 struct ReplicaCountSample {
   Seconds time = 0.0;
   int active = 0;
+
+  bool operator==(const ReplicaCountSample&) const = default;
 };
 
 /// Per-pool slice of a heterogeneous fleet's scaling report. Role and SKU
@@ -72,17 +76,19 @@ struct PoolScalingReport {
 
   /// Exact per-pool utilization/energy attribution, filled by the metrics
   /// collector from the pool's actual batch execution records against the
-  /// pool's own SKU rates (not the fleet's slot-weighted averages). MFU/MBU
-  /// are normalized by the pool's *paid* GPU-time (provisioning through
-  /// decommission) — utilization of the capacity the pool actually billed,
-  /// which is the honest denominator for autoscaled pools. Zero when the
-  /// run carried no batch-level resource accounting.
+  /// pool's own SKU rates; the fleet's energy is the sum of the pools'.
+  /// MFU/MBU are normalized by the pool's *paid* GPU-time (provisioning
+  /// through decommission) — utilization of the capacity the pool actually
+  /// billed, which is the honest denominator for autoscaled pools. Zero
+  /// when the run carried no batch-level resource accounting.
   double mfu = 0.0;
   double mbu = 0.0;
   double busy_fraction = 0.0;   ///< busy replica-time / paid replica-time
   double energy_joules = 0.0;   ///< busy + idle energy billed to the pool
 
   std::vector<ReplicaCountSample> active_timeline;  ///< pool-local counts
+
+  bool operator==(const PoolScalingReport&) const = default;
 };
 
 /// Capacity/cost accounting of one simulation's replica fleet. Filled for
@@ -108,13 +114,15 @@ struct ClusterScalingReport {
   std::vector<ScalingEvent> events;              ///< chronological
   std::vector<ReplicaCountSample> active_timeline;  ///< step function
 
-  /// Per-pool breakout, in slot order. Filled by the ClusterManager (every
-  /// elastic run, including homogeneous single-pool ones) and by
-  /// static_pools_report; plain homogeneous static fleets
-  /// (static_fleet_report) leave it empty.
+  /// Per-pool breakout, in slot order. Every simulation fills it (the
+  /// ClusterManager for elastic runs, static_pools_report otherwise; a
+  /// homogeneous fleet is its one "fleet" pool). Only the standalone
+  /// static_fleet_report leaves it empty.
   std::vector<PoolScalingReport> pools;
 
   std::string to_string() const;
+
+  bool operator==(const ClusterScalingReport&) const = default;
 };
 
 /// The report of a fixed fleet: `num_replicas` active for the whole run.

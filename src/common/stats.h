@@ -77,6 +77,8 @@ struct Summary {
   double max = 0.0;
 
   static Summary of(const SampleSeries& s);
+
+  bool operator==(const Summary&) const = default;
 };
 
 /// Order-preserving map of a double onto an unsigned key: a < b implies

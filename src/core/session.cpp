@@ -40,10 +40,7 @@ SimulationConfig VidurSession::make_sim_config(
     const DeploymentConfig& config) const {
   SimulationConfig sim;
   sim.model = model_;
-  // Pool deployments ignore the top-level SKU; the primary node is only a
-  // placeholder for legacy fields (pool SKUs drive planning and billing).
-  sim.node.sku = sku_by_name(
-      config.pools.empty() ? config.sku_name : config.pools[0].sku_name);
+  sim.node.sku = sku_by_name(config.sku_name);
   sim.parallel = config.parallel;
   sim.scheduler = config.scheduler;
   sim.global_scheduler = config.global_scheduler;
@@ -131,40 +128,29 @@ SimulationMetrics VidurSession::simulate(
   sim_config.obs = obs;
   const ModelSpec& model = model_;
   const CpuOverheadModel cpu = options_.cpu_overhead;
-  // The distinct estimators backing this run, for the cache-traffic deltas
-  // attributed to it (pools sharing a SKU share one estimator).
-  std::vector<const RuntimeEstimator*> used;
-  BackendFactory factory;
-  if (config.pools.empty()) {
-    const RuntimeEstimator& est = estimator(config.sku_name);
-    used.push_back(&est);
-    const ParallelConfig parallel = config.parallel;
-    factory = [&est, &model, parallel, cpu](ReplicaId) {
-      return std::make_unique<ExecutionTimePredictor>(&est, model, parallel,
-                                                      cpu);
-    };
-  } else {
-    prepare_pools(sim_config);
-    // Each slot gets a predictor against its pool's per-SKU estimator.
-    std::vector<const RuntimeEstimator*> estimators;
-    std::vector<ParallelConfig> parallels;
-    for (const PoolSpec& pool : sim_config.pools) {
-      const RuntimeEstimator* est = &estimator(pool.sku_name);
-      estimators.push_back(est);
-      parallels.push_back(pool.parallel);
-      if (std::find(used.begin(), used.end(), est) == used.end())
-        used.push_back(est);
-    }
-    factory = [estimators = std::move(estimators),
-               parallels = std::move(parallels),
-               slot_pool = pool_slot_layout(sim_config.pools), &model,
-               cpu](ReplicaId r) {
-      const auto p = static_cast<std::size_t>(
-          slot_pool[static_cast<std::size_t>(r)]);
-      return std::make_unique<ExecutionTimePredictor>(estimators[p], model,
-                                                      parallels[p], cpu);
-    };
+  prepare_pools(sim_config);
+  // Each slot gets a predictor against its pool's per-SKU estimator. The
+  // distinct estimators backing this run carry its cache-traffic deltas
+  // (pools sharing a SKU share one estimator).
+  const std::vector<PoolSpec> pools = deployment_pools(sim_config);
+  std::vector<const RuntimeEstimator*> estimators, used;
+  std::vector<ParallelConfig> parallels;
+  for (const PoolSpec& pool : pools) {
+    const RuntimeEstimator* est = &estimator(pool.sku_name);
+    estimators.push_back(est);
+    parallels.push_back(pool.parallel);
+    if (std::find(used.begin(), used.end(), est) == used.end())
+      used.push_back(est);
   }
+  BackendFactory factory = [estimators = std::move(estimators),
+                            parallels = std::move(parallels),
+                            slot_pool = pool_slot_layout(pools), &model,
+                            cpu](ReplicaId r) {
+    const auto p =
+        static_cast<std::size_t>(slot_pool[static_cast<std::size_t>(r)]);
+    return std::make_unique<ExecutionTimePredictor>(estimators[p], model,
+                                                    parallels[p], cpu);
+  };
   std::size_t hits_before = 0, misses_before = 0;
   for (const RuntimeEstimator* est : used) {
     hits_before += est->cache_hits();
@@ -194,35 +180,26 @@ SimulationMetrics VidurSession::simulate_reference(
   sim_config.obs = obs;
   const ModelSpec& model = model_;
   const CpuOverheadModel cpu = options_.cpu_overhead;
-  BackendFactory factory;
-  if (config.pools.empty()) {
-    const ParallelConfig parallel = config.parallel;
-    const NodeSpec node = sim_config.node;
-    factory = [&model, node, parallel, cpu, seed](ReplicaId replica) {
-      return std::make_unique<ReferenceExecutor>(
-          node, model, parallel, seed * 0x9e3779b97f4a7c15ULL + replica,
-          cpu);
-    };
-  } else {
-    prepare_pools(sim_config);
-    std::vector<NodeSpec> nodes;
-    std::vector<ParallelConfig> parallels;
-    for (const PoolSpec& pool : sim_config.pools) {
-      NodeSpec node = sim_config.node;
-      node.sku = sku_by_name(pool.sku_name);
-      nodes.push_back(node);
-      parallels.push_back(pool.parallel);
-    }
-    factory = [nodes = std::move(nodes), parallels = std::move(parallels),
-               slot_pool = pool_slot_layout(sim_config.pools), &model, cpu,
-               seed](ReplicaId replica) {
-      const auto p = static_cast<std::size_t>(
-          slot_pool[static_cast<std::size_t>(replica)]);
-      return std::make_unique<ReferenceExecutor>(
-          nodes[p], model, parallels[p],
-          seed * 0x9e3779b97f4a7c15ULL + replica, cpu);
-    };
+  prepare_pools(sim_config);
+  const std::vector<PoolSpec> pools = deployment_pools(sim_config);
+  std::vector<NodeSpec> nodes;
+  std::vector<ParallelConfig> parallels;
+  for (const PoolSpec& pool : pools) {
+    NodeSpec node = sim_config.node;
+    node.sku = sku_by_name(pool.sku_name);
+    nodes.push_back(node);
+    parallels.push_back(pool.parallel);
   }
+  BackendFactory factory = [nodes = std::move(nodes),
+                            parallels = std::move(parallels),
+                            slot_pool = pool_slot_layout(pools), &model, cpu,
+                            seed](ReplicaId replica) {
+    const auto p =
+        static_cast<std::size_t>(slot_pool[static_cast<std::size_t>(replica)]);
+    return std::make_unique<ReferenceExecutor>(
+        nodes[p], model, parallels[p], seed * 0x9e3779b97f4a7c15ULL + replica,
+        cpu);
+  };
   Simulator sim(sim_config, trace, std::move(factory));
   // Reference runs are not counted as simulated GPU time: they represent
   // what the paper executes on the real testbed.

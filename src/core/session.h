@@ -84,9 +84,11 @@ class VidurSession {
   SimulationConfig make_sim_config(const DeploymentConfig& config) const;
   void account(const SimulationMetrics& metrics,
                const DeploymentConfig& config);
-  /// Onboard every pool's SKU and fill unset per-pool capacities with the
-  /// estimator-derived relative throughput (pool_capacity_weight); the
-  /// cost-aware scale-out policy ranks pools by $/SLO-point with these.
+  /// Spec-written pools only: onboard every pool's SKU and fill unset
+  /// per-pool capacities with the estimator-derived relative throughput
+  /// (pool_capacity_weight); the cost-aware scale-out policy ranks pools by
+  /// $/SLO-point with these. A lowered shorthand deployment has at most one
+  /// pool per role, so no ranking would read a derived capacity.
   void prepare_pools(SimulationConfig& sim);
   /// Relative per-replica capacity of one pool: the reciprocal predicted
   /// time of a canonical continuous-batching iteration (one 512-token

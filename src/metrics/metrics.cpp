@@ -8,16 +8,43 @@
 
 namespace vidur {
 
-MetricsCollector::MetricsCollector(ClusterResources cluster)
-    : cluster_(cluster) {
-  VIDUR_CHECK(cluster_.num_replicas >= 1);
-  VIDUR_CHECK(cluster_.peak_flops_per_gpu > 0);
-  VIDUR_CHECK(cluster_.gpus_per_replica >= 1);
-  VIDUR_CHECK(cluster_.hbm_bytes_per_sec_per_gpu >= 0);
-  VIDUR_CHECK(cluster_.idle_watts_per_gpu >= 0);
-  VIDUR_CHECK(cluster_.peak_watts_per_gpu >= cluster_.idle_watts_per_gpu);
-  replica_sums_.resize(static_cast<std::size_t>(cluster_.num_replicas));
+namespace {
+
+std::vector<int> one_pool_layout(int num_replicas) {
+  VIDUR_CHECK(num_replicas >= 1);
+  return std::vector<int>(static_cast<std::size_t>(num_replicas), 0);
 }
+
+}  // namespace
+
+MetricsCollector::MetricsCollector(std::vector<PoolResources> pools,
+                                   std::vector<int> pool_of_slot)
+    : pools_(std::move(pools)), pool_of_slot_(std::move(pool_of_slot)) {
+  VIDUR_CHECK_MSG(!pool_of_slot_.empty(),
+                  "the collector needs at least one replica slot");
+  for (const PoolResources& p : pools_) {
+    VIDUR_CHECK(p.gpus_per_replica >= 1);
+    VIDUR_CHECK(p.peak_flops_per_gpu > 0);
+    VIDUR_CHECK(p.hbm_bytes_per_sec_per_gpu >= 0);
+    VIDUR_CHECK(p.idle_watts_per_gpu >= 0);
+    VIDUR_CHECK(p.peak_watts_per_gpu >= p.idle_watts_per_gpu);
+  }
+  for (const int p : pool_of_slot_)
+    VIDUR_CHECK_MSG(p >= 0 && p < static_cast<int>(pools_.size()),
+                    "pool_of_slot entry " << p << " out of range");
+  replica_sums_.resize(pool_of_slot_.size());
+}
+
+MetricsCollector::MetricsCollector(ClusterResources cluster)
+    : MetricsCollector(
+          {PoolResources{
+              .name = "fleet",
+              .gpus_per_replica = cluster.gpus_per_replica,
+              .peak_flops_per_gpu = cluster.peak_flops_per_gpu,
+              .hbm_bytes_per_sec_per_gpu = cluster.hbm_bytes_per_sec_per_gpu,
+              .idle_watts_per_gpu = cluster.idle_watts_per_gpu,
+              .peak_watts_per_gpu = cluster.peak_watts_per_gpu}},
+          one_pool_layout(cluster.num_replicas)) {}
 
 MetricsCollector::MetricsCollector(int num_replicas,
                                    double peak_flops_per_gpu,
@@ -29,49 +56,38 @@ MetricsCollector::MetricsCollector(int num_replicas,
           .peak_flops_per_gpu = peak_flops_per_gpu,
           .hbm_bytes_per_sec_per_gpu = hbm_bytes_per_sec_per_gpu}) {}
 
-void MetricsCollector::set_pools(std::vector<PoolResources> pools,
-                                 std::vector<int> pool_of_slot) {
-  for (const int p : pool_of_slot)
-    VIDUR_CHECK_MSG(p >= 0 && p < static_cast<int>(pools.size()),
-                    "pool_of_slot entry " << p << " out of range");
-  for (const PoolResources& p : pools) {
-    VIDUR_CHECK(p.gpus_per_replica >= 1);
-    VIDUR_CHECK(p.peak_flops_per_gpu > 0);
-  }
-  VIDUR_CHECK_MSG(pool_of_slot.size() == replica_sums_.size(),
-                  "pool slot layout covers " << pool_of_slot.size()
-                                             << " slots, the cluster "
-                                             << replica_sums_.size());
-  pools_ = std::move(pools);
-  pool_of_slot_ = std::move(pool_of_slot);
-}
-
 namespace {
 
-/// Linear power model shared by the fleet-average and per-pool paths:
-/// intensity is the batch's per-GPU FLOP or bandwidth utilization,
-/// whichever dominates (roofline-style).
+/// Linear power model: intensity is the batch's per-GPU FLOP or bandwidth
+/// utilization, whichever dominates (roofline-style).
 double batch_energy_joules(const BatchRecord& record, double duration,
-                           int gpus_per_replica, double peak_flops_per_gpu,
-                           double hbm_bytes_per_sec_per_gpu,
-                           double idle_watts_per_gpu,
-                           double peak_watts_per_gpu) {
-  if (peak_watts_per_gpu <= 0 || duration <= 0) return 0.0;
+                           const PoolResources& pool) {
+  if (pool.peak_watts_per_gpu <= 0 || duration <= 0) return 0.0;
   const double flop_util =
-      record.flops / (duration * peak_flops_per_gpu * gpus_per_replica);
+      record.flops /
+      (duration * pool.peak_flops_per_gpu * pool.gpus_per_replica);
   const double bw_util =
-      hbm_bytes_per_sec_per_gpu > 0
+      pool.hbm_bytes_per_sec_per_gpu > 0
           ? static_cast<double>(record.hbm_bytes_per_gpu) /
-                (duration * hbm_bytes_per_sec_per_gpu)
+                (duration * pool.hbm_bytes_per_sec_per_gpu)
           : 0.0;
   const double intensity = std::clamp(std::max(flop_util, bw_util), 0.0, 1.0);
   const double watts_per_gpu =
-      idle_watts_per_gpu + (peak_watts_per_gpu - idle_watts_per_gpu) *
-                               intensity;
-  return duration * gpus_per_replica * watts_per_gpu;
+      pool.idle_watts_per_gpu +
+      (pool.peak_watts_per_gpu - pool.idle_watts_per_gpu) * intensity;
+  return duration * pool.gpus_per_replica * watts_per_gpu;
 }
 
 }  // namespace
+
+void MetricsCollector::BatchSums::add(const BatchSums& other) {
+  flops += other.flops;
+  hbm_bytes += other.hbm_bytes;
+  busy_time += other.busy_time;
+  weighted_kv_util += other.weighted_kv_util;
+  weighted_batch_size += other.weighted_batch_size;
+  busy_energy_joules += other.busy_energy_joules;
+}
 
 void MetricsCollector::record_batch(const BatchRecord& record) {
   const double duration = record.end_time - record.start_time;
@@ -86,25 +102,9 @@ void MetricsCollector::record_batch(const BatchRecord& record) {
   sums.busy_time += duration;
   sums.weighted_kv_util += record.kv_utilization * duration;
   sums.weighted_batch_size += static_cast<double>(record.batch_size) * duration;
-
-  // Fleet-average energy against the (possibly slot-weighted) cluster
-  // rates — kept as-is so homogeneous runs and the existing fleet metrics
-  // are unchanged by per-pool attribution.
   sums.busy_energy_joules += batch_energy_joules(
-      record, duration, cluster_.gpus_per_replica,
-      cluster_.peak_flops_per_gpu, cluster_.hbm_bytes_per_sec_per_gpu,
-      cluster_.idle_watts_per_gpu, cluster_.peak_watts_per_gpu);
-
-  // Exact per-pool attribution: the same batch billed at its own pool's
-  // SKU rates.
-  if (!pools_.empty()) {
-    const PoolResources& res =
-        pools_[static_cast<std::size_t>(pool_of_slot_[slot])];
-    sums.pool_busy_energy_joules += batch_energy_joules(
-        record, duration, res.gpus_per_replica, res.peak_flops_per_gpu,
-        res.hbm_bytes_per_sec_per_gpu, res.idle_watts_per_gpu,
-        res.peak_watts_per_gpu);
-  }
+      record, duration,
+      pools_[static_cast<std::size_t>(pool_of_slot_[slot])]);
 }
 
 void MetricsCollector::set_tenants(std::vector<TenantInfo> tenants) {
@@ -170,9 +170,13 @@ void MetricsCollector::record_operators(
 }
 
 SimulationMetrics MetricsCollector::finalize(Seconds now) const {
-  return finalize(now, static_fleet_report(cluster_.num_replicas, now,
-                                           cluster_.gpus_per_replica,
-                                           /*cost_per_gpu_hour=*/0.0));
+  VIDUR_CHECK_MSG(pools_.size() == 1,
+                  "finalize(now) assumes a one-pool fleet; pass the scaling "
+                  "report of a " << pools_.size() << "-pool fleet");
+  return finalize(now, static_fleet_report(
+                           static_cast<int>(replica_sums_.size()), now,
+                           pools_[0].gpus_per_replica,
+                           /*cost_per_gpu_hour=*/0.0));
 }
 
 SimulationMetrics MetricsCollector::finalize(
@@ -210,85 +214,85 @@ SimulationMetrics MetricsCollector::finalize(
   // order.
   BatchSums fleet;
   std::vector<BatchSums> pool_sums(pools_.size());
+  std::vector<int> pool_slots(pools_.size(), 0);
   for (std::size_t slot = 0; slot < replica_sums_.size(); ++slot) {
-    const BatchSums& s = replica_sums_[slot];
-    fleet.flops += s.flops;
-    fleet.hbm_bytes += s.hbm_bytes;
-    fleet.busy_time += s.busy_time;
-    fleet.weighted_kv_util += s.weighted_kv_util;
-    fleet.weighted_batch_size += s.weighted_batch_size;
-    fleet.busy_energy_joules += s.busy_energy_joules;
-    if (pools_.empty()) continue;
-    BatchSums& pool = pool_sums[static_cast<std::size_t>(pool_of_slot_[slot])];
-    pool.flops += s.flops;
-    pool.hbm_bytes += s.hbm_bytes;
-    pool.busy_time += s.busy_time;
-    pool.pool_busy_energy_joules += s.pool_busy_energy_joules;
+    const auto pool = static_cast<std::size_t>(pool_of_slot_[slot]);
+    fleet.add(replica_sums_[slot]);
+    pool_sums[pool].add(replica_sums_[slot]);
+    ++pool_slots[pool];
   }
+
+  // Each pool bills its own paid time: the scaling report's per-pool entry,
+  // or for a one-pool collector the fleet's when the report has no breakout.
+  const bool by_pool = m.scaling.pools.size() == pools_.size();
+  VIDUR_CHECK_MSG(by_pool || pools_.size() == 1,
+                  "the scaling report breaks out " << m.scaling.pools.size()
+                                                   << " pools, the collector "
+                                                   << pools_.size());
+  for (std::size_t i = 0; i < pools_.size(); ++i) {
+    const PoolResources& res = pools_[i];
+    const BatchSums& acc = pool_sums[i];
+    const double paid_gpu_seconds =
+        (by_pool ? m.scaling.pools[i].gpu_hours : m.scaling.gpu_hours) *
+        3600.0;
+    double energy = 0.0;
+    if (res.peak_watts_per_gpu > 0) {
+      const double idle_gpu_seconds = std::max(
+          0.0, paid_gpu_seconds - acc.busy_time * res.gpus_per_replica);
+      energy = acc.busy_energy_joules +
+               idle_gpu_seconds * res.idle_watts_per_gpu;
+    }
+    m.total_energy_joules += energy;
+    if (!by_pool) continue;
+    // Exact per-pool MFU/MBU/busy fraction over the pool's own SKU rates
+    // and *paid* time (its scaling-report hours).
+    PoolScalingReport& p = m.scaling.pools[i];
+    const double paid_replica_seconds = p.replica_hours * 3600.0;
+    if (paid_gpu_seconds > 0)
+      p.mfu = acc.flops / (paid_gpu_seconds * res.peak_flops_per_gpu);
+    // hbm bytes are per GPU and a replica's GPUs move them in parallel,
+    // so normalize by paid replica-time at per-GPU bandwidth.
+    if (paid_replica_seconds > 0) {
+      if (res.hbm_bytes_per_sec_per_gpu > 0)
+        p.mbu = acc.hbm_bytes /
+                (paid_replica_seconds * res.hbm_bytes_per_sec_per_gpu);
+      p.busy_fraction = acc.busy_time / paid_replica_seconds;
+    }
+    p.energy_joules = energy;
+  }
+  if (output_tokens > 0)
+    m.energy_per_output_token =
+        m.total_energy_joules / static_cast<double>(output_tokens);
 
   if (now > 0) {
     m.throughput_qps = static_cast<double>(m.num_completed) / now;
     m.output_tokens_per_sec = static_cast<double>(output_tokens) / now;
-    const double cluster_flops = cluster_.peak_flops_per_gpu *
-                                 cluster_.gpus_per_replica *
-                                 cluster_.num_replicas;
-    m.mfu = fleet.flops / (now * cluster_flops);
-    // hbm bytes are recorded per GPU, and each replica's GPUs move them in
-    // parallel, so normalize by replica count only.
-    if (cluster_.hbm_bytes_per_sec_per_gpu > 0)
-      m.mbu = fleet.hbm_bytes /
-              (now * cluster_.num_replicas * cluster_.hbm_bytes_per_sec_per_gpu);
-    m.busy_fraction = fleet.busy_time / (now * cluster_.num_replicas);
-
-    if (cluster_.peak_watts_per_gpu > 0) {
-      // Idle draw is billed against the fleet's paid GPU-time (the scaling
-      // report's replica timeline), not the static slot ceiling: a replica
-      // slot that was never provisioned draws nothing, and a decommissioned
-      // one stops drawing at release.
-      const double paid_gpu_seconds = scaling.gpu_hours * 3600.0;
-      const double idle_gpu_seconds = std::max(
-          0.0, paid_gpu_seconds - fleet.busy_time * cluster_.gpus_per_replica);
-      m.total_energy_joules = fleet.busy_energy_joules +
-                              idle_gpu_seconds * cluster_.idle_watts_per_gpu;
-      if (output_tokens > 0)
-        m.energy_per_output_token =
-            m.total_energy_joules / static_cast<double>(output_tokens);
-      m.mean_cluster_power_watts = m.total_energy_joules / now;
+    // Fleet utilization is work over the static slot capacity, summed per
+    // pool. hbm bytes are recorded per GPU and each replica's GPUs move
+    // them in parallel, so bandwidth capacity counts every slot at its
+    // per-GPU bandwidth. It is applied as now x slots x the slots' mean
+    // bandwidth: for a one-SKU fleet that mean is exact, so the product
+    // does not depend on how the slots split into pools.
+    double peak_flops = 0.0;
+    double bandwidth = 0.0;
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
+      const PoolResources& res = pools_[i];
+      peak_flops +=
+          res.peak_flops_per_gpu * res.gpus_per_replica * pool_slots[i];
+      bandwidth += pool_slots[i] * res.hbm_bytes_per_sec_per_gpu;
     }
+    const auto slots = static_cast<double>(replica_sums_.size());
+    m.mfu = fleet.flops / (now * peak_flops);
+    if (bandwidth > 0)
+      m.mbu = fleet.hbm_bytes / (now * slots * (bandwidth / slots));
+    m.busy_fraction = fleet.busy_time / (now * slots);
+    m.mean_cluster_power_watts = m.total_energy_joules / now;
   }
   if (fleet.busy_time > 0) {
     m.mean_kv_utilization = fleet.weighted_kv_util / fleet.busy_time;
     m.mean_batch_size = fleet.weighted_batch_size / fleet.busy_time;
   }
   m.operator_stats = operator_stats_;
-
-  // Exact per-pool MFU/MBU/energy: each pool's own batch sums over the
-  // pool's own SKU rates and *paid* GPU-time (its scaling-report hours).
-  if (!pools_.empty() && m.scaling.pools.size() == pools_.size()) {
-    for (std::size_t i = 0; i < pools_.size(); ++i) {
-      const PoolResources& res = pools_[i];
-      const BatchSums& acc = pool_sums[i];
-      PoolScalingReport& p = m.scaling.pools[i];
-      const double paid_replica_seconds = p.replica_hours * 3600.0;
-      const double paid_gpu_seconds = p.gpu_hours * 3600.0;
-      if (paid_gpu_seconds > 0)
-        p.mfu = acc.flops / (paid_gpu_seconds * res.peak_flops_per_gpu);
-      // hbm bytes are per GPU and a replica's GPUs move them in parallel,
-      // so normalize by paid replica-time (mirrors the fleet MBU).
-      if (paid_replica_seconds > 0) {
-        if (res.hbm_bytes_per_sec_per_gpu > 0)
-          p.mbu = acc.hbm_bytes /
-                  (paid_replica_seconds * res.hbm_bytes_per_sec_per_gpu);
-        p.busy_fraction = acc.busy_time / paid_replica_seconds;
-      }
-      if (res.peak_watts_per_gpu > 0) {
-        const double idle_gpu_seconds = std::max(
-            0.0, paid_gpu_seconds - acc.busy_time * res.gpus_per_replica);
-        p.energy_joules = acc.pool_busy_energy_joules +
-                          idle_gpu_seconds * res.idle_watts_per_gpu;
-      }
-    }
-  }
 
   // ---- per-tenant breakdown ----
   bool tagged = !tenants_.empty();

@@ -39,6 +39,8 @@ struct TenantInfo {
   std::string name;
   int priority = 0;
   SloSpec slo;
+
+  bool operator==(const TenantInfo&) const = default;
 };
 
 /// Per-request lifecycle timestamps, filled in by the scheduler stack.
@@ -135,12 +137,12 @@ struct BatchRecord {
   double kv_utilization = 0.0;  ///< blocks in use / total, at submission
 };
 
-/// Static description of the cluster the collector accounts against.
-/// Power draw follows a linear utilization model: a GPU running a batch at
-/// intensity u (its FLOP or bandwidth utilization, whichever is higher)
-/// draws idle + (peak - idle) * u watts; an idle GPU draws idle watts.
-struct ClusterResources {
-  int num_replicas = 1;
+/// One pool's per-GPU resource rates. Power draw follows a linear
+/// utilization model: a GPU running a batch at intensity u (its FLOP or
+/// bandwidth utilization, whichever is higher) draws idle + (peak - idle) *
+/// u watts; an idle GPU draws idle watts.
+struct PoolResources {
+  std::string name;
   int gpus_per_replica = 1;
   double peak_flops_per_gpu = 0.0;
   double hbm_bytes_per_sec_per_gpu = 0.0;
@@ -148,18 +150,14 @@ struct ClusterResources {
   double peak_watts_per_gpu = 0.0;  ///< 0 disables energy accounting
 };
 
-/// Per-pool resource rates for exact attribution: one entry per pool of a
-/// heterogeneous (or single-pool elastic) deployment, in pool order. The
-/// collector accumulates each pool's batches against its own SKU rates,
-/// replacing the fleet-level slot-weighted approximation for the per-pool
-/// breakout in PoolScalingReport.
-struct PoolResources {
-  std::string name;
+/// A fleet of identical replicas: the one-pool case of PoolResources.
+struct ClusterResources {
+  int num_replicas = 1;
   int gpus_per_replica = 1;
   double peak_flops_per_gpu = 0.0;
   double hbm_bytes_per_sec_per_gpu = 0.0;
   double idle_watts_per_gpu = 0.0;
-  double peak_watts_per_gpu = 0.0;
+  double peak_watts_per_gpu = 0.0;  ///< 0 disables energy accounting
 };
 
 /// Exact prefix-cache accounting aggregated across a run's replicas
@@ -197,9 +195,13 @@ struct PrefixCacheMetrics {
                  ? 0.0
                  : static_cast<double>(hits) / static_cast<double>(lookups);
     }
+
+    bool operator==(const Slice&) const = default;
   };
   std::vector<Slice> by_tenant;  ///< sorted by tenant id
-  std::vector<Slice> by_pool;    ///< pool order (pool deployments only)
+  std::vector<Slice> by_pool;    ///< pool order
+
+  bool operator==(const PrefixCacheMetrics&) const = default;
 };
 
 /// Resilience accounting of a faulted run (src/fault/): what the injected
@@ -227,6 +229,8 @@ struct ResilienceMetrics {
   // -1 when the slice is empty or no tenant carries an SLO.
   double slo_attainment_clean = -1.0;
   double slo_attainment_impacted = -1.0;
+
+  bool operator==(const ResilienceMetrics&) const = default;
 };
 
 /// Aggregated output of one simulation.
@@ -264,6 +268,8 @@ struct SimulationMetrics {
   struct OperatorStats {
     std::int64_t invocations = 0;  ///< stage executions including this op
     Seconds total_seconds = 0.0;   ///< summed per-stage time attribution
+
+    bool operator==(const OperatorStats&) const = default;
   };
   std::map<OpType, OperatorStats> operator_stats;
 
@@ -282,12 +288,15 @@ struct SimulationMetrics {
     /// Fraction of this tenant's requests meeting their SLO (incomplete
     /// requests count as misses). -1 when the tenant carries no SLO.
     double slo_attainment = -1.0;
+
+    bool operator==(const TenantMetrics&) const = default;
   };
   std::vector<TenantMetrics> tenant_metrics;  ///< sorted by tenant id
 
-  /// Replica-count and GPU-hour/cost accounting of the run's fleet. Filled
-  /// by the simulator: a flat fixed-fleet report normally, the full scaling
-  /// timeline when an autoscaler managed the replicas (src/cluster/).
+  /// Replica-count and GPU-hour/cost accounting of the run's fleet, broken
+  /// out per pool. Filled by the simulator: a flat fixed-fleet report
+  /// normally, the full scaling timeline when an autoscaler managed the
+  /// replicas (src/cluster/).
   ClusterScalingReport scaling;
 
   /// Final observability-registry state: every counter/gauge/histogram the
@@ -329,12 +338,21 @@ struct SimulationMetrics {
   std::string tenant_table() const;
 
   std::string to_string() const;
+
+  bool operator==(const SimulationMetrics&) const = default;
 };
 
 /// Accumulates batch sums during a run and aggregates them, with the run's
-/// request records, at the end.
+/// request records, at the end. The fleet is a list of pools: every batch
+/// is billed at its own pool's rates, and the fleet's MFU, MBU and energy
+/// are exact sums over the pools.
 class MetricsCollector {
  public:
+  /// `pools` carries each pool's rates in pool order (the scaling report's
+  /// pool order); `pool_of_slot` maps every replica slot to its pool index.
+  MetricsCollector(std::vector<PoolResources> pools,
+                   std::vector<int> pool_of_slot);
+  /// One pool of `cluster.num_replicas` identical slots.
   explicit MetricsCollector(ClusterResources cluster);
   /// Convenience overload used widely by tests; no power model.
   MetricsCollector(int num_replicas, double peak_flops_per_gpu,
@@ -345,15 +363,6 @@ class MetricsCollector {
   /// with an unregistered tenant id still get a breakdown row under a
   /// generated name. May be called at any time before finalize().
   void set_tenants(std::vector<TenantInfo> tenants);
-
-  /// Enable exact per-pool attribution: `pools` carries each pool's own SKU
-  /// rates (in pool order, matching the scaling report's pool order) and
-  /// `pool_of_slot` maps every replica slot to its pool index. Batches are
-  /// then also billed at their own pool's rates, and finalize() fills the
-  /// mfu/mbu/busy_fraction/energy_joules fields of each PoolScalingReport
-  /// from those exact sums. Call before the first record_batch().
-  void set_pools(std::vector<PoolResources> pools,
-                 std::vector<int> pool_of_slot);
 
   /// Add one batch to its replica slot's sums. Only that slot is written,
   /// so threads recording batches of distinct replicas never race, and the
@@ -368,12 +377,15 @@ class MetricsCollector {
 
   /// Aggregate. `now` is the simulation end time (makespan). The overloads
   /// taking the fleet's scaling report attach it to the result and bill
-  /// idle energy from the fleet's actual paid GPU-time — an autoscaled run
-  /// pays idle watts only while a replica is up (provisioning through
-  /// decommission), not for the whole static slot ceiling. The one-argument
-  /// form assumes a fixed fleet of `num_replicas` active the whole run.
-  /// Without `records`, the copies passed to record_request() are
-  /// aggregated. Replica sums fold in slot order.
+  /// each pool's idle energy on the pool's actual paid GPU-time — an
+  /// autoscaled run pays idle watts only while a replica is up
+  /// (provisioning through decommission), not for the whole static slot
+  /// ceiling. The report breaks the paid time out per pool, in pool order;
+  /// a one-pool collector also takes a report without that breakout and
+  /// bills the fleet's paid time. The one-argument form assumes a fixed
+  /// one-pool fleet, every slot active the whole run. Without `records`,
+  /// the copies passed to record_request() are aggregated. Replica sums
+  /// fold in slot order.
   SimulationMetrics finalize(Seconds now) const;
   SimulationMetrics finalize(Seconds now,
                              const ClusterScalingReport& scaling) const;
@@ -381,21 +393,20 @@ class MetricsCollector {
                              RequestRecordView records) const;
 
  private:
-  /// Batch sums of one replica slot. Cache-line aligned: shard threads
-  /// write neighbouring slots concurrently.
+  /// Batch sums of one replica slot (or of one pool, or the fleet, when
+  /// folded). Cache-line aligned: shard threads write neighbouring slots
+  /// concurrently.
   struct alignas(64) BatchSums {
     double flops = 0.0;
     double hbm_bytes = 0.0;
     double busy_time = 0.0;
     double weighted_kv_util = 0.0;
     double weighted_batch_size = 0.0;
-    /// At the fleet-level (slot-weighted) rates.
-    double busy_energy_joules = 0.0;
-    /// At the slot's own pool rates (pool attribution only).
-    double pool_busy_energy_joules = 0.0;
+    double busy_energy_joules = 0.0;  ///< at the slot's own pool rates
+
+    void add(const BatchSums& other);
   };
 
-  ClusterResources cluster_;
   std::vector<TenantInfo> tenants_;
   std::vector<RequestRecord> requests_;
   std::vector<PoolResources> pools_;

@@ -63,10 +63,14 @@ struct RegistrySnapshot {
   struct CounterEntry {
     std::string name;
     std::uint64_t value = 0;
+
+    bool operator==(const CounterEntry&) const = default;
   };
   struct GaugeEntry {
     std::string name;
     double value = 0.0;
+
+    bool operator==(const GaugeEntry&) const = default;
   };
   struct HistogramEntry {
     std::string name;
@@ -77,6 +81,8 @@ struct RegistrySnapshot {
     double p90 = 0.0;
     double p99 = 0.0;
     double max = 0.0;
+
+    bool operator==(const HistogramEntry&) const = default;
   };
 
   std::vector<CounterEntry> counters;
@@ -88,6 +94,8 @@ struct RegistrySnapshot {
   }
   /// Counter value by name; 0 when absent (tests, summary lines).
   std::uint64_t counter(const std::string& name) const;
+
+  bool operator==(const RegistrySnapshot&) const = default;
 };
 
 class MetricsRegistry {

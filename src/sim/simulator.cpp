@@ -12,72 +12,78 @@ namespace vidur {
 
 namespace {
 
-int count_slots(const SimulationConfig& c) {
-  return c.pools.empty() ? c.parallel.num_replicas : total_pool_slots(c.pools);
+/// The configuration the engine runs: the deployment lowered to pools and
+/// the shorthand fields cleared, so nothing downstream can read them.
+SimulationConfig lower(SimulationConfig c) {
+  c.pools = deployment_pools(c);
+  c.node = NodeSpec{};
+  c.parallel = ParallelConfig{};
+  c.disagg.num_prefill_replicas = 0;
+  c.autoscale = AutoscalerConfig{};
+  return c;
 }
 
-/// Routing-domain size of the global scheduler. Under legacy
-/// disaggregation, arrivals are only routed among the prefill replicas;
-/// decode replicas receive work via KV-transfer hand-off. Pool deployments
-/// route over every slot and mask decode/inactive slots out instead.
-int routing_domain(const SimulationConfig& c) {
-  if (!c.pools.empty()) return total_pool_slots(c.pools);
-  return c.disagg.enabled() ? c.disagg.num_prefill_replicas
-                            : c.parallel.num_replicas;
-}
-
-NodeSpec pool_node(const SimulationConfig& c, const PoolSpec& pool) {
-  NodeSpec node = c.node;
-  node.sku = sku_by_name(pool.sku_name);
-  return node;
-}
-
-MemoryPlan primary_memory_plan(const SimulationConfig& c) {
-  if (c.pools.empty())
-    return plan_memory(c.model, c.node, c.parallel, c.memory_utilization);
-  return plan_memory(c.model, pool_node(c, c.pools[0]), c.pools[0].parallel,
-                     c.memory_utilization);
-}
-
-/// Resources the metrics collector accounts against. Heterogeneous pools
-/// are folded to per-REPLICA means with gpus_per_replica pinned at 1, so
-/// every num_replicas x gpus_per_replica x rate product equals the exact
-/// fleet total (no GPUs lost to integer rounding); for homogeneous pools
-/// this is arithmetically identical to the per-GPU form. Fleet-level
-/// MFU/MBU/energy are still slot-weighted averages across mixed SKUs; the
-/// exact per-pool numbers come from MetricsCollector::set_pools (wired in
-/// setup_observability), GPU-hours and cost from the scaling report.
-ClusterResources cluster_resources(const SimulationConfig& c) {
-  if (c.pools.empty()) {
-    return ClusterResources{
-        .num_replicas = c.parallel.num_replicas,
-        .gpus_per_replica = c.parallel.gpus_per_replica(),
-        .peak_flops_per_gpu = c.node.sku.peak_flops(),
-        .hbm_bytes_per_sec_per_gpu = c.node.sku.hbm_bytes_per_sec(),
-        .idle_watts_per_gpu = c.node.sku.idle_watts,
-        .peak_watts_per_gpu = c.node.sku.peak_watts};
-  }
-  double slots = 0, flops = 0, bw = 0, idle = 0, peak = 0;
-  for (const PoolSpec& pool : c.pools) {
+/// Each pool's SKU rates, in pool order: the metrics collector bills every
+/// batch at its own pool's rates.
+std::vector<PoolResources> pool_resources(const std::vector<PoolSpec>& pools) {
+  std::vector<PoolResources> out;
+  for (const PoolSpec& pool : pools) {
     const SkuSpec sku = sku_by_name(pool.sku_name);
-    const double n = pool.slots();
-    const double g = pool.gpus_per_replica();
-    slots += n;
-    flops += n * g * sku.peak_flops();
-    bw += n * g * sku.hbm_bytes_per_sec();
-    idle += n * g * sku.idle_watts;
-    peak += n * g * sku.peak_watts;
+    out.push_back(PoolResources{
+        .name = pool.name,
+        .gpus_per_replica = pool.gpus_per_replica(),
+        .peak_flops_per_gpu = sku.peak_flops(),
+        .hbm_bytes_per_sec_per_gpu = sku.hbm_bytes_per_sec(),
+        .idle_watts_per_gpu = sku.idle_watts,
+        .peak_watts_per_gpu = sku.peak_watts});
   }
-  return ClusterResources{
-      .num_replicas = static_cast<int>(slots),
-      .gpus_per_replica = 1,  // rates below are per replica, not per GPU
-      .peak_flops_per_gpu = flops / slots,
-      .hbm_bytes_per_sec_per_gpu = bw / slots,
-      .idle_watts_per_gpu = idle / slots,
-      .peak_watts_per_gpu = peak / slots};
+  return out;
 }
 
 }  // namespace
+
+std::vector<PoolSpec> deployment_pools(const SimulationConfig& c) {
+  c.disagg.validate();
+  std::vector<PoolSpec> pools = c.pools;
+  if (!pools.empty()) {
+    VIDUR_CHECK_MSG(!c.disagg.enabled(),
+                    "pool deployments define disaggregation through pool "
+                    "roles; leave disagg.num_prefill_replicas at 0 (the "
+                    "transfer_* fields still parameterize KV hand-off)");
+    VIDUR_CHECK_MSG(!c.autoscale.enabled(),
+                    "pool deployments autoscale per pool; leave the "
+                    "top-level autoscale disabled");
+  } else {
+    VIDUR_CHECK_MSG(!(c.autoscale.enabled() && c.disagg.enabled()),
+                    "autoscaling is not supported with legacy "
+                    "disaggregated serving; use a pool deployment with "
+                    "prefill/decode pools instead");
+    PoolSpec fleet;
+    fleet.name = "fleet";
+    fleet.sku_name = c.node.sku.name;
+    fleet.parallel = c.parallel;
+    fleet.autoscale = c.autoscale;
+    if (!c.disagg.enabled()) {
+      pools.push_back(std::move(fleet));
+    } else {
+      VIDUR_CHECK_MSG(
+          c.disagg.num_prefill_replicas < c.parallel.num_replicas,
+          "disaggregation requires at least one decode replica");
+      PoolSpec prefill = fleet;
+      prefill.name = "prefill";
+      prefill.role = PoolRole::kPrefill;
+      prefill.parallel.num_replicas = c.disagg.num_prefill_replicas;
+      PoolSpec decode = std::move(fleet);
+      decode.name = "decode";
+      decode.role = PoolRole::kDecode;
+      decode.parallel.num_replicas -= c.disagg.num_prefill_replicas;
+      pools.push_back(std::move(prefill));
+      pools.push_back(std::move(decode));
+    }
+  }
+  validate_pools(pools);
+  return pools;
+}
 
 thread_local Simulator::SimShard* Simulator::tls_shard_ = nullptr;
 
@@ -97,43 +103,16 @@ TraceRecorder* Simulator::local_trace() {
 
 Simulator::Simulator(SimulationConfig config, Trace trace,
                      BackendFactory factory)
-    : config_(std::move(config)),
+    : config_(lower(std::move(config))),
       trace_(std::move(trace)),
-      num_slots_(count_slots(config_)),
-      global_(config_.global_scheduler, routing_domain(config_)),
-      memory_plan_(primary_memory_plan(config_)),
-      metrics_(cluster_resources(config_)) {
+      num_slots_(total_pool_slots(config_.pools)),
+      disaggregated_(pools_disaggregated(config_.pools)),
+      global_(config_.global_scheduler, num_slots_),
+      pool_of_slot_(pool_slot_layout(config_.pools)),
+      metrics_(pool_resources(config_.pools), pool_of_slot_) {
   config_.model.validate();
   config_.scheduler.validate();
   VIDUR_CHECK(factory != nullptr);
-  if (pool_mode()) {
-    validate_pools(config_.pools);
-    VIDUR_CHECK_MSG(!config_.disagg.enabled(),
-                    "pool deployments define disaggregation through pool "
-                    "roles; leave disagg.num_prefill_replicas at 0 (the "
-                    "transfer_* fields still parameterize KV hand-off)");
-    VIDUR_CHECK_MSG(!config_.autoscale.enabled(),
-                    "pool deployments autoscale per pool; leave the "
-                    "top-level autoscale disabled");
-    VIDUR_CHECK(config_.disagg.transfer_bandwidth_gbps > 0);
-    VIDUR_CHECK(config_.disagg.transfer_latency >= 0);
-  } else {
-    config_.parallel.validate();
-    if (config_.autoscale.enabled()) {
-      config_.autoscale.validate();
-      VIDUR_CHECK_MSG(!config_.disagg.enabled(),
-                      "autoscaling is not supported with legacy "
-                      "disaggregated serving; use a pool deployment with "
-                      "prefill/decode pools instead");
-    }
-    if (config_.disagg.enabled()) {
-      VIDUR_CHECK_MSG(
-          config_.disagg.num_prefill_replicas < config_.parallel.num_replicas,
-          "disaggregation requires at least one decode replica");
-      VIDUR_CHECK(config_.disagg.transfer_bandwidth_gbps > 0);
-      VIDUR_CHECK(config_.disagg.transfer_latency >= 0);
-    }
-  }
 
   VIDUR_CHECK_MSG(config_.threads >= 1,
                   "execution.threads must be >= 1 (got " << config_.threads
@@ -142,10 +121,7 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
     // KV hand-offs between roles have zero lookahead (a prefill's end is
     // the decode's input), so disaggregated serving cannot shard; operator
     // metrics aggregate into one collector from every stage execution.
-    VIDUR_CHECK_MSG(!config_.disagg.enabled(),
-                    "execution.threads > 1 is not supported with legacy "
-                    "disaggregated serving; run with threads = 1");
-    VIDUR_CHECK_MSG(!(pool_mode() && pools_disaggregated(config_.pools)),
+    VIDUR_CHECK_MSG(!disaggregated_,
                     "execution.threads > 1 is not supported with "
                     "role-disaggregated pools; run with threads = 1");
     VIDUR_CHECK_MSG(!config_.collect_operator_metrics,
@@ -153,27 +129,18 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
                     "metrics collection; run with threads = 1");
   }
 
-  if (pool_mode()) {
-    pool_plans_.push_back(memory_plan_);  // pool 0 is the primary plan
-    for (std::size_t p = 1; p < config_.pools.size(); ++p)
-      pool_plans_.push_back(plan_memory(config_.model,
-                                        pool_node(config_, config_.pools[p]),
-                                        config_.pools[p].parallel,
-                                        config_.memory_utilization));
-    pool_of_slot_ = pool_slot_layout(config_.pools);
+  for (const PoolSpec& pool : config_.pools) {
+    const NodeSpec node{.sku = sku_by_name(pool.sku_name)};
+    pool_plans_.push_back(plan_memory(config_.model, node, pool.parallel,
+                                      config_.memory_utilization));
   }
 
   replicas_.reserve(static_cast<std::size_t>(num_slots_));
   for (ReplicaId r = 0; r < num_slots_; ++r) {
     Replica replica;
-    const MemoryPlan& plan =
-        pool_mode() ? pool_plans_[static_cast<std::size_t>(
-                          pool_of_slot_[static_cast<std::size_t>(r)])]
-                    : memory_plan_;
-    const bool disaggregated =
-        pool_mode() ? pools_disaggregated(config_.pools)
-                    : config_.disagg.enabled();
-    if (!disaggregated) {
+    const MemoryPlan& plan = pool_plans_[static_cast<std::size_t>(
+        pool_of_slot_[static_cast<std::size_t>(r)])];
+    if (!disaggregated_) {
       replica.scheduler = make_replica_scheduler(config_.scheduler, plan);
     } else if (is_prefill_replica(r)) {
       replica.scheduler = std::make_unique<DisaggPrefillScheduler>(
@@ -193,7 +160,7 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
     replica.backend = factory(r);
     VIDUR_CHECK(replica.backend != nullptr);
     replica.stages.resize(
-        static_cast<std::size_t>(parallel_of(r).pipeline_parallel));
+        static_cast<std::size_t>(pool_of(r).parallel.pipeline_parallel));
     replicas_.push_back(std::move(replica));
   }
 
@@ -209,9 +176,7 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
 
   metrics_.set_tenants(config_.tenants);
 
-  const bool elastic = pool_mode() ? any_pool_autoscaled(config_.pools)
-                                   : config_.autoscale.enabled();
-  if (elastic) {
+  if (any_pool_autoscaled(config_.pools)) {
     ClusterManager::Hooks hooks;
     // outstanding() already covers requests inside in-flight batches (they
     // stay in the running set until their batch ends), so it serves both
@@ -245,46 +210,30 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
           .scheduler->blocks()
           .utilization();
     };
-    if (pool_mode()) {
-      // Cost-aware placement ranks pools by $/SLO-point; the capacity side
-      // comes from the spec (estimator-derived by VidurSession). If any
-      // pool left it unset, fall back to the SKU's peak FLOPs for every
-      // pool, so the ranking never mixes sources.
-      bool all_caps = true;
-      for (const PoolSpec& pool : config_.pools)
-        all_caps &= pool.capacity_qps > 0;
-      std::vector<ClusterManager::ManagedPool> managed;
-      for (const PoolSpec& pool : config_.pools) {
-        ClusterManager::ManagedPool m;
-        m.name = pool.name;
-        m.sku = pool.sku_name;
-        m.role = pool.role;
-        m.slots = pool.slots();
-        m.autoscale = pool.autoscale;
-        m.gpus_per_replica = pool.gpus_per_replica();
-        m.cost_per_gpu_hour = pool.effective_cost_per_gpu_hour();
-        m.capacity_qps = all_caps
-                             ? pool.capacity_qps
-                             : sku_by_name(pool.sku_name).peak_fp16_tflops;
-        managed.push_back(std::move(m));
-      }
-      cluster_ = std::make_unique<ClusterManager>(std::move(managed),
-                                                  &events_, std::move(hooks));
-    } else {
-      // The homogeneous fleet is the single-pool special case; carrying
-      // the SKU and rates here gives legacy runs the same per-pool report
-      // shape as heterogeneous ones.
+    // Cost-aware placement ranks pools by $/SLO-point; the capacity side
+    // comes from the spec (estimator-derived by VidurSession). If any pool
+    // left it unset, fall back to the SKU's peak FLOPs for every pool, so
+    // the ranking never mixes sources.
+    bool all_caps = true;
+    for (const PoolSpec& pool : config_.pools)
+      all_caps &= pool.capacity_qps > 0;
+    std::vector<ClusterManager::ManagedPool> managed;
+    for (const PoolSpec& pool : config_.pools) {
       ClusterManager::ManagedPool m;
-      m.sku = config_.node.sku.name;
-      m.slots = config_.parallel.num_replicas;
-      m.autoscale = config_.autoscale;
-      m.gpus_per_replica = config_.parallel.gpus_per_replica();
-      m.cost_per_gpu_hour = config_.node.sku.cost_per_hour;
-      std::vector<ClusterManager::ManagedPool> managed;
+      m.name = pool.name;
+      m.sku = pool.sku_name;
+      m.role = pool.role;
+      m.slots = pool.slots();
+      m.autoscale = pool.autoscale;
+      m.gpus_per_replica = pool.gpus_per_replica();
+      m.cost_per_gpu_hour = pool.effective_cost_per_gpu_hour();
+      m.capacity_qps = all_caps
+                           ? pool.capacity_qps
+                           : sku_by_name(pool.sku_name).peak_fp16_tflops;
       managed.push_back(std::move(m));
-      cluster_ = std::make_unique<ClusterManager>(std::move(managed),
-                                                  &events_, std::move(hooks));
     }
+    cluster_ = std::make_unique<ClusterManager>(std::move(managed), &events_,
+                                                std::move(hooks));
   }
 
   // Request states must never reallocate: schedulers hold raw pointers.
@@ -331,7 +280,7 @@ void Simulator::setup_faults() {
     std::vector<ReplicaId> out;
     const bool fleet = pool.empty() || pool == "fleet";
     for (ReplicaId r = 0; r < num_slots_; ++r) {
-      if (!fleet && (!pool_mode() || pool_of(r).name != pool)) continue;
+      if (!fleet && pool_of(r).name != pool) continue;
       if (cluster_ && !cluster_->is_routable(r)) continue;
       out.push_back(r);
     }
@@ -399,7 +348,7 @@ void Simulator::recover_request(RequestState* request, ReplicaId replica_id) {
     ++num_handoffs_;
     trace_emit(trace_rec_, TraceEventKind::kRequestRetry, events_.now(),
                replica_id, rec.id, rec.num_handoffs, 0, 2);
-    if (pool_mode() && pool_of(replica_id).role == PoolRole::kDecode &&
+    if (pool_of(replica_id).role == PoolRole::kDecode &&
         request->prefill_complete()) {
       trace_emit(trace_rec_, TraceEventKind::kMigrateStart, events_.now(),
                  replica_id, rec.id, request->kv_context);
@@ -502,39 +451,6 @@ void Simulator::setup_observability() {
   }
   if (cluster_) cluster_->set_obs(trace_rec_, registry_);
 
-  // Exact per-pool attribution: each pool's batches accumulate against its
-  // own SKU rates. Pool deployments carry their layout; a homogeneous
-  // elastic fleet is the single-pool case (its scaling report has one pool
-  // entry). Plain static fleets have no pool breakout to fill.
-  if (pool_mode()) {
-    std::vector<PoolResources> resources;
-    for (const PoolSpec& pool : config_.pools) {
-      const SkuSpec sku = sku_by_name(pool.sku_name);
-      PoolResources p;
-      p.name = pool.name;
-      p.gpus_per_replica = pool.gpus_per_replica();
-      p.peak_flops_per_gpu = sku.peak_flops();
-      p.hbm_bytes_per_sec_per_gpu = sku.hbm_bytes_per_sec();
-      p.idle_watts_per_gpu = sku.idle_watts;
-      p.peak_watts_per_gpu = sku.peak_watts;
-      resources.push_back(std::move(p));
-    }
-    metrics_.set_pools(std::move(resources), pool_of_slot_);
-  } else if (cluster_) {
-    PoolResources p;
-    p.name = config_.node.sku.name;
-    p.gpus_per_replica = config_.parallel.gpus_per_replica();
-    p.peak_flops_per_gpu = config_.node.sku.peak_flops();
-    p.hbm_bytes_per_sec_per_gpu = config_.node.sku.hbm_bytes_per_sec();
-    p.idle_watts_per_gpu = config_.node.sku.idle_watts;
-    p.peak_watts_per_gpu = config_.node.sku.peak_watts;
-    std::vector<PoolResources> resources;
-    resources.push_back(std::move(p));
-    metrics_.set_pools(
-        std::move(resources),
-        std::vector<int>(static_cast<std::size_t>(num_slots_), 0));
-  }
-
   // The tenant -> SLO map serves both the rolling windows and the
   // resilience SLO-attainment split, so it is built unconditionally.
   {
@@ -561,11 +477,9 @@ void Simulator::setup_observability() {
           static_cast<int>(names.size());
       names.push_back("tenant:" + t.name);
     }
-    if (pool_mode()) {
-      pool_track_base_ = static_cast<int>(names.size());
-      for (const PoolSpec& pool : config_.pools)
-        names.push_back("pool:" + pool.name);
-    }
+    pool_track_base_ = static_cast<int>(names.size());
+    for (const PoolSpec& pool : config_.pools)
+      names.push_back("pool:" + pool.name);
     rolling_ = std::make_unique<RollingCollector>(config_.obs.rolling_window_s,
                                                   std::move(names));
   }
@@ -586,7 +500,7 @@ void Simulator::rolling_request_delta(const RequestState& request, int delta) {
 }
 
 void Simulator::rolling_pool_delta(ReplicaId replica_id, int delta) {
-  if (!rolling_ || pool_track_base_ < 0) return;
+  if (!rolling_) return;
   const int pool = pool_of_slot_[static_cast<std::size_t>(replica_id)];
   rolling_->on_queue_delta(pool_track_base_ + pool, events_.now(), delta);
 }
@@ -614,11 +528,9 @@ void Simulator::rolling_completions(
     const int track = tenant_track(rec.tenant);
     if (track >= 0)
       rolling_->on_completion(track, now, rec.ttft(), worst_tbt, slo_state);
-    if (pool_track_base_ >= 0) {
-      const int pool = pool_of_slot_[static_cast<std::size_t>(replica_id)];
-      rolling_->on_completion(pool_track_base_ + pool, now, rec.ttft(),
-                              worst_tbt, slo_state);
-    }
+    const int pool = pool_of_slot_[static_cast<std::size_t>(replica_id)];
+    rolling_->on_completion(pool_track_base_ + pool, now, rec.ttft(),
+                            worst_tbt, slo_state);
     rolling_request_delta(*r, -1);
     rolling_pool_delta(replica_id, -1);
   }
@@ -642,9 +554,7 @@ SimulationMetrics Simulator::run() {
   // every arrival central, and the run replays the legacy single-queue
   // order exactly.
   preroute_ = config_.global_scheduler == GlobalSchedulerKind::kRoundRobin &&
-              cluster_ == nullptr && rolling_ == nullptr &&
-              !config_.disagg.enabled() &&
-              !(pool_mode() && pools_disaggregated(config_.pools)) &&
+              cluster_ == nullptr && rolling_ == nullptr && !disaggregated_ &&
               !config_.collect_operator_metrics && num_slots_ > 0;
   if (preroute_) {
     shards_.resize(static_cast<std::size_t>(num_slots_));
@@ -737,17 +647,11 @@ SimulationMetrics Simulator::run() {
   const Seconds end_time = cluster_ && remaining_requests_ == 0
                                ? last_batch_end_
                                : horizon;
-  // The scaling report feeds finalize() so idle energy is billed on the
-  // fleet's actual paid GPU-time, not the static slot ceiling. Pool
-  // deployments carry their per-slot rates in the manager (or the static
-  // pool report); homogeneous fleets bill at the single SKU's rate.
+  // The scaling report feeds finalize() so each pool's idle energy is
+  // billed on its actual paid GPU-time, not the static slot ceiling.
   const ClusterScalingReport report =
       cluster_ ? cluster_->report(end_time)
-      : pool_mode()
-          ? static_pools_report(config_.pools, end_time)
-          : static_fleet_report(config_.parallel.num_replicas, end_time,
-                                config_.parallel.gpus_per_replica(),
-                                config_.node.sku.cost_per_hour);
+               : static_pools_report(config_.pools, end_time);
   // Final registry state: per-request latency histograms plus engine-level
   // gauges, then the snapshot travels with the metrics.
   LatencyHistogram* ttft_hist = registry_->histogram("request.ttft_s");
@@ -940,18 +844,15 @@ const std::vector<bool>& Simulator::arrival_mask() const {
 
 void Simulator::route_request(RequestState* request) {
   static const std::vector<bool> kEveryReplica;  // empty mask = all routable
-  // Pool deployments route over every slot with a role-and-activity mask;
-  // the legacy forms shrink the routing domain (disaggregation) or mask on
-  // elastic activity alone.
-  const int routable = pool_mode() ? num_slots_
-                       : config_.disagg.enabled()
-                           ? config_.disagg.num_prefill_replicas
-                           : config_.parallel.num_replicas;
+  // Routing spans every slot. Decode slots never take arrivals, so only a
+  // disaggregated fleet needs the role-aware mask; otherwise the mask is
+  // the elastic fleet's activity, or empty for a static one.
   const std::vector<bool>& mask =
-      pool_mode() ? arrival_mask()
-                  : (cluster_ ? cluster_->routable_mask() : kEveryReplica);
+      disaggregated_ ? arrival_mask()
+      : cluster_     ? cluster_->routable_mask()
+                     : kEveryReplica;
   const ReplicaId target =
-      global_.route(request, outstanding_counts(routable), mask);
+      global_.route(request, outstanding_counts(num_slots_), mask);
   trace_emit(trace_rec_, TraceEventKind::kRouted, events_.now(), target,
        request->record.id);
   if (target >= 0) {
@@ -962,7 +863,7 @@ void Simulator::route_request(RequestState* request) {
     try_schedule(target);
   } else {
     // Deferred binding: every routable replica with room may pull it.
-    for (ReplicaId r = 0; r < routable; ++r) try_schedule(r);
+    for (ReplicaId r = 0; r < num_slots_; ++r) try_schedule(r);
   }
 }
 
@@ -974,7 +875,7 @@ void Simulator::reroute_waiting(ReplicaId replica_id) {
     r->replica = -1;
     ctr_reroutes_->inc();
     rolling_pool_delta(replica_id, -1);
-    if (pool_mode() && pool_of(replica_id).role == PoolRole::kDecode) {
+    if (pool_of(replica_id).role == PoolRole::kDecode) {
       // A draining decode replica's queued work is already prefilled: it
       // moves to another decode replica, paying the KV transfer again.
       trace_emit(trace_rec_, TraceEventKind::kMigrateStart, events_.now(),
@@ -1160,7 +1061,7 @@ void Simulator::finish_batch(ReplicaId replica_id,
   record.q_tokens = batch.agg.total_q;
   record.batch_size = batch.spec.size();
   record.flops = batch.flops;
-  const ParallelConfig& parallel = parallel_of(replica_id);
+  const ParallelConfig& parallel = pool_of(replica_id).parallel;
   record.hbm_bytes_per_gpu = batch_hbm_bytes_per_gpu(
       config_.model, parallel.tensor_parallel, parallel.pipeline_parallel,
       batch.agg);
@@ -1220,39 +1121,23 @@ void Simulator::migrate_prefilled(ReplicaId replica_id,
 }
 
 void Simulator::on_migrated(RequestState* request) {
-  // Least-outstanding routing among decode replicas (deterministic:
-  // strictly-lower wins, so the lowest eligible id takes every tie).
-  const auto outstanding = [this](ReplicaId id) {
-    return replicas_[static_cast<std::size_t>(id)].scheduler->outstanding();
-  };
+  // Least-outstanding routing among the active decode replicas
+  // (deterministic: strictly-lower wins, so the lowest eligible id takes
+  // every tie; an elastic decode pool's floor >= 1 guarantees one exists).
   ReplicaId best = -1;
   int best_count = 0;
-  if (pool_mode()) {
-    // Elastic decode pools: only active replicas take hand-offs (the
-    // decode floor >= 1 guarantees one exists).
-    for (ReplicaId r = 0; r < num_slots_; ++r) {
-      if (pool_of(r).role != PoolRole::kDecode) continue;
-      if (cluster_ && !cluster_->is_routable(r)) continue;
-      const int count = outstanding(r);
-      if (best < 0 || count < best_count) {
-        best = r;
-        best_count = count;
-      }
-    }
-    VIDUR_CHECK_MSG(best >= 0,
-                    "no active decode replica to receive a prefilled "
-                    "request");
-  } else {
-    best = config_.disagg.num_prefill_replicas;
-    best_count = outstanding(best);
-    for (ReplicaId r = best + 1; r < config_.parallel.num_replicas; ++r) {
-      const int count = outstanding(r);
-      if (count < best_count) {
-        best = r;
-        best_count = count;
-      }
+  for (ReplicaId r = 0; r < num_slots_; ++r) {
+    if (pool_of(r).role != PoolRole::kDecode) continue;
+    if (cluster_ && !cluster_->is_routable(r)) continue;
+    const int count =
+        replicas_[static_cast<std::size_t>(r)].scheduler->outstanding();
+    if (best < 0 || count < best_count) {
+      best = r;
+      best_count = count;
     }
   }
+  VIDUR_CHECK_MSG(best >= 0,
+                  "no active decode replica to receive a prefilled request");
   request->replica = best;
   request->queue_entry_time = events_.now();
   // Next batch membership on the decode replica emits a resume record, so
@@ -1276,12 +1161,9 @@ Seconds Simulator::kv_transfer_time(const RequestState& request) const {
 void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
   out.enabled = true;
   std::map<TenantId, PrefixCacheMetrics::Slice> by_tenant;
-  std::vector<PrefixCacheMetrics::Slice> by_pool;
-  if (pool_mode()) {
-    by_pool.resize(config_.pools.size());
-    for (std::size_t p = 0; p < config_.pools.size(); ++p)
-      by_pool[p].name = config_.pools[p].name;
-  }
+  std::vector<PrefixCacheMetrics::Slice> by_pool(config_.pools.size());
+  for (std::size_t p = 0; p < config_.pools.size(); ++p)
+    by_pool[p].name = config_.pools[p].name;
   // A session whose turns landed on several replicas is resident on each;
   // it counts once.
   std::vector<std::int64_t> sessions;
@@ -1299,13 +1181,12 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
     sessions.insert(sessions.end(), ids.begin(), ids.end());
     // Replica-wide KV bytes the hit prefills did not recompute, at the
     // slot's own memory plan (heterogeneous pools differ per slot).
-    const MemoryPlan& plan =
-        pool_mode() ? pool_plans_[static_cast<std::size_t>(
-                          pool_of_slot_[static_cast<std::size_t>(r)])]
-                    : memory_plan_;
-    out.bytes_saved += static_cast<double>(s.tokens_saved) *
-                       static_cast<double>(plan.kv_bytes_per_token_per_gpu) *
-                       static_cast<double>(parallel_of(r).gpus_per_replica());
+    const auto pool = static_cast<std::size_t>(
+        pool_of_slot_[static_cast<std::size_t>(r)]);
+    out.bytes_saved +=
+        static_cast<double>(s.tokens_saved) *
+        static_cast<double>(pool_plans_[pool].kv_bytes_per_token_per_gpu) *
+        static_cast<double>(config_.pools[pool].gpus_per_replica());
     for (const auto& [tenant, ts] : cache->tenant_stats()) {
       PrefixCacheMetrics::Slice& slice = by_tenant[tenant];
       slice.lookups += static_cast<std::int64_t>(ts.lookups);
@@ -1313,15 +1194,11 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
       slice.misses += static_cast<std::int64_t>(ts.misses);
       slice.tokens_saved += ts.tokens_saved;
     }
-    if (pool_mode()) {
-      PrefixCacheMetrics::Slice& slice =
-          by_pool[static_cast<std::size_t>(
-              pool_of_slot_[static_cast<std::size_t>(r)])];
-      slice.lookups += static_cast<std::int64_t>(s.lookups);
-      slice.hits += static_cast<std::int64_t>(s.hits);
-      slice.misses += static_cast<std::int64_t>(s.misses);
-      slice.tokens_saved += s.tokens_saved;
-    }
+    PrefixCacheMetrics::Slice& slice = by_pool[pool];
+    slice.lookups += static_cast<std::int64_t>(s.lookups);
+    slice.hits += static_cast<std::int64_t>(s.hits);
+    slice.misses += static_cast<std::int64_t>(s.misses);
+    slice.tokens_saved += s.tokens_saved;
   }
   std::sort(sessions.begin(), sessions.end());
   out.resident_sessions = std::unique(sessions.begin(), sessions.end()) -

@@ -52,9 +52,16 @@ struct SimObs {
   Seconds rolling_window_s = 0.0;
 };
 
+/// One simulation's inputs. The deployment is written either as `pools` or
+/// in the homogeneous shorthand (`node`, `parallel`, `disagg.
+/// num_prefill_replicas`, `autoscale`); deployment_pools() lowers the
+/// shorthand, and the engine only ever runs pools.
 struct SimulationConfig {
   ModelSpec model;
+  /// Shorthand: the SKU of a homogeneous fleet (a built-in SKU; pools name
+  /// theirs).
   NodeSpec node;
+  /// Shorthand: TP/PP and slot count of a homogeneous fleet.
   ParallelConfig parallel;
   SchedulerConfig scheduler;
   GlobalSchedulerKind global_scheduler = GlobalSchedulerKind::kRoundRobin;
@@ -69,30 +76,24 @@ struct SimulationConfig {
   /// pipeline scheduling). The send still delays the downstream stage; it
   /// just no longer occupies the upstream one. No effect when PP = 1.
   bool async_pipeline_comm = false;
-  /// Prefill/decode disaggregation; when enabled, `scheduler.kind` is
-  /// ignored (each role runs its dedicated policy) and
-  /// parallel.num_replicas counts both roles together.
+  /// KV hand-off parameters (transfer_*) of every disaggregated deployment.
+  /// Shorthand: num_prefill_replicas > 0 splits the homogeneous fleet into
+  /// a "prefill" pool of that many slots and a "decode" pool of the rest;
+  /// `scheduler.kind` is then ignored (each role runs its dedicated policy).
   DisaggConfig disagg;
   /// Tenant identities for per-tenant metric attribution (scenario engine).
   /// Empty for single-tenant runs.
   std::vector<TenantInfo> tenants;
-  /// Elastic cluster: when enabled, `parallel.num_replicas` becomes the
-  /// fleet's slot count (the scale-up ceiling) and a ClusterManager drives
-  /// replica lifecycles from the configured autoscaling policy. Only
-  /// kActive replicas receive new requests; draining replicas finish their
-  /// outstanding work before their slot is released. Not combinable with
-  /// disaggregated serving (the legacy `disagg` form; pool deployments
-  /// autoscale disaggregated roles independently).
+  /// Shorthand: the homogeneous fleet's autoscaling policy. When enabled,
+  /// `parallel.num_replicas` becomes the fleet's slot count (the scale-up
+  /// ceiling) and a ClusterManager drives replica lifecycles. Not
+  /// combinable with the disaggregation shorthand (pools autoscale
+  /// disaggregated roles independently).
   AutoscalerConfig autoscale;
-  /// Heterogeneous pool deployment: replica slots are laid out pool by
-  /// pool, each pool with its own SKU, parallelism, role and (optional)
-  /// autoscaling policy. When non-empty, `node`, `parallel`, `disagg.
-  /// num_prefill_replicas` and `autoscale` above are ignored and must stay
-  /// disabled (disagg transfer_* fields still parameterize KV hand-off).
-  /// Fleet-average MFU/MBU/energy use slot-weighted SKU aggregates — exact
-  /// for homogeneous pools, an approximation for mixed ones; the per-pool
-  /// breakout in the scaling report carries exact attribution from each
-  /// pool's own batch records (and GPU-hours/cost are always exact).
+  /// The deployment as pools: replica slots are laid out pool by pool, each
+  /// pool with its own SKU, parallelism, role and (optional) autoscaling
+  /// policy. When non-empty, the shorthand fields above must stay at their
+  /// defaults. Fleet MFU/MBU/energy are exact sums over the pools.
   std::vector<PoolSpec> pools;
   /// Per-replica prefix cache (KV reuse across sessions and shared system
   /// prompts). Each replica gets its own cache sized to capacity_fraction
@@ -111,12 +112,19 @@ struct SimulationConfig {
   /// migration); the per-shard streams merge deterministically at every
   /// window boundary, so the result is bit-identical at every thread
   /// count. Must be 1 for configurations whose cross-shard events have
-  /// zero lookahead or whose collection is not thread-safe (legacy
-  /// disaggregation, role-disaggregated pools, operator metrics).
+  /// zero lookahead or whose collection is not thread-safe (disaggregated
+  /// serving, operator metrics).
   int threads = 1;
   /// Observability: trace recorder, shared registry, rolling windows.
   SimObs obs;
 };
+
+/// The deployment of `config` as pools: `pools` when set, otherwise the
+/// shorthand lowered to one unified pool named "fleet" (carrying
+/// `autoscale`), or — under `disagg.num_prefill_replicas` — a "prefill"
+/// pool of that many slots followed by a "decode" pool of the rest. Throws
+/// vidur::Error on an inconsistent deployment.
+std::vector<PoolSpec> deployment_pools(const SimulationConfig& config);
 
 /// Creates the per-replica timing backend (a predictor shared across
 /// replicas, or per-replica reference executors with forked RNG streams).
@@ -133,7 +141,6 @@ class Simulator {
   SimulationMetrics run();
 
   const std::vector<RequestState>& request_states() const { return states_; }
-  const MemoryPlan& memory_plan() const { return memory_plan_; }
   /// The elastic-fleet manager, or nullptr for fixed-fleet runs.
   const ClusterManager* cluster() const { return cluster_.get(); }
   /// Fleet slot count (fixed fleets: the configured replica count).
@@ -249,21 +256,15 @@ class Simulator {
   /// by (time, shard, position), assigning global batch sequence numbers.
   void merge_round();
 
-  // ---- heterogeneous pools ----
-  bool pool_mode() const { return !config_.pools.empty(); }
-  /// Pool owning a slot (pool mode only).
+  // ---- pools ----
+  /// Pool owning a slot.
   const PoolSpec& pool_of(ReplicaId r) const {
     return config_.pools[static_cast<std::size_t>(
         pool_of_slot_[static_cast<std::size_t>(r)])];
   }
-  /// The replica's parallelism: its pool's, or the global config's.
-  const ParallelConfig& parallel_of(ReplicaId r) const {
-    return pool_mode() ? pool_of(r).parallel : config_.parallel;
-  }
   /// May this slot receive arrivals (role-wise; elastic activity aside)?
   bool arrival_eligible(ReplicaId r) const {
-    if (pool_mode()) return pool_of(r).role != PoolRole::kDecode;
-    return !config_.disagg.enabled() || is_prefill_replica(r);
+    return pool_of(r).role != PoolRole::kDecode;
   }
   /// Role-aware arrival mask: arrival-eligible AND (if elastic) active.
   /// Returns a member scratch buffer, rebuilt per call.
@@ -271,8 +272,7 @@ class Simulator {
 
   // ---- disaggregated serving ----
   bool is_prefill_replica(ReplicaId r) const {
-    if (pool_mode()) return pool_of(r).role == PoolRole::kPrefill;
-    return config_.disagg.enabled() && r < config_.disagg.num_prefill_replicas;
+    return pool_of(r).role == PoolRole::kPrefill;
   }
   /// Hand prefilled requests of a completed batch to decode replicas.
   void migrate_prefilled(ReplicaId replica_id, const BatchSpec& batch);
@@ -321,13 +321,16 @@ class Simulator {
   /// per-tenant and per-pool slices) and mirror them into the registry.
   void aggregate_prefix_cache(PrefixCacheMetrics& out) const;
 
+  /// The configuration as run: `pools` holds the deployment, the
+  /// shorthand fields are cleared.
   SimulationConfig config_;
   Trace trace_;
-  int num_slots_ = 0;  ///< total replica slots (all pools, or num_replicas)
+  int num_slots_ = 0;  ///< total replica slots over all pools
+  /// Prefill/decode pools (validate_pools allows no unified pool then).
+  bool disaggregated_ = false;
   EventQueue events_;
   GlobalScheduler global_;
-  MemoryPlan memory_plan_;
-  /// Pool mode: per-pool memory plans and the slot -> pool index map.
+  /// Per-pool memory plans and the slot -> pool index map.
   std::vector<MemoryPlan> pool_plans_;
   std::vector<int> pool_of_slot_;
   mutable std::vector<bool> arrival_mask_scratch_;
@@ -387,13 +390,13 @@ class Simulator {
   std::vector<std::size_t> merge_cur_;  ///< merge cursor per shard
   std::unique_ptr<SpinTeam> team_;  ///< threads > 1 and > 1 shard only
   /// The running thread's shard during a window round, null in central
-  /// context (and always on the legacy path).
+  /// context (and always without pre-routing).
   static thread_local SimShard* tls_shard_;
 
   /// Rolling-track layout: 0 = cluster, then tenants, then pools.
   std::vector<int> tenant_track_by_id_;  ///< tenant id -> track (-1: none)
   std::vector<const SloSpec*> tenant_slo_by_id_;  ///< nullptr: no SLO
-  int pool_track_base_ = -1;  ///< first pool track, -1 when absent
+  int pool_track_base_ = -1;  ///< first pool track (rolling on)
 };
 
 }  // namespace vidur

@@ -226,6 +226,29 @@ TEST(ExperimentSpecValidate, DisaggPlusAutoscaleConflict) {
   expect_invalid(spec, "cannot be combined");
 }
 
+TEST(ExperimentSpecValidate, DisaggRangesAreCheckedWhereSpecsAre) {
+  // No decode replica left.
+  ExperimentSpec spec;
+  spec.with_parallelism(1, 1, 2);
+  spec.deployment.disagg.num_prefill_replicas = 2;
+  expect_invalid(spec,
+                 "deployment.disagg.num_prefill_replicas (2) must be below "
+                 "deployment.num_replicas (2)");
+
+  // A zero-bandwidth link, a negative setup latency.
+  spec.deployment.disagg.num_prefill_replicas = 1;
+  spec.deployment.disagg.transfer_bandwidth_gbps = 0.0;
+  expect_invalid(spec, "disagg.transfer_bandwidth_gbps must be finite");
+  spec.deployment.disagg.transfer_bandwidth_gbps = 25.0;
+  spec.deployment.disagg.transfer_latency = -1.0;
+  expect_invalid(spec, "disagg.transfer_latency_s must be finite");
+
+  // A negative count is not "disabled".
+  spec = ExperimentSpec{};
+  spec.deployment.disagg.num_prefill_replicas = -1;
+  expect_invalid(spec, "disagg.num_prefill_replicas must be >= 0");
+}
+
 TEST(ExperimentSpecValidate, CapacitySearchRejectsScenarioWorkload) {
   ExperimentSpec spec;
   spec.with_mode(ExperimentMode::kCapacitySearch)

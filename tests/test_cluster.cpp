@@ -143,14 +143,23 @@ struct ManagerHarness {
   std::vector<ReplicaId> drained;
   std::unique_ptr<ClusterManager> manager;
 
-  explicit ManagerHarness(AutoscalerConfig config, int fleet) {
+  /// One elastic pool of `fleet` slots.
+  ManagerHarness(AutoscalerConfig config, int fleet, int gpus_per_replica = 1,
+                 double cost_per_gpu_hour = 0.0) {
     ClusterManager::Hooks hooks;
     hooks.replica_load = [this](ReplicaId r) { return load[r]; };
     hooks.parked_requests = [this] { return parked; };
     hooks.work_remaining = [this] { return work; };
     hooks.on_activated = [this](ReplicaId r) { activated.push_back(r); };
     hooks.on_draining = [this](ReplicaId r) { drained.push_back(r); };
-    manager = std::make_unique<ClusterManager>(config, fleet, &events,
+    ClusterManager::ManagedPool pool;
+    pool.slots = fleet;
+    pool.autoscale = config;
+    pool.gpus_per_replica = gpus_per_replica;
+    pool.cost_per_gpu_hour = cost_per_gpu_hour;
+    std::vector<ClusterManager::ManagedPool> pools;
+    pools.push_back(std::move(pool));
+    manager = std::make_unique<ClusterManager>(std::move(pools), &events,
                                                std::move(hooks));
     manager->start();
   }
@@ -194,7 +203,7 @@ TEST(ClusterManager, ColdStartDelaysNewCapacity) {
   EXPECT_GT(h.manager->num_active(), 1);
   EXPECT_FALSE(h.activated.empty());
 
-  const auto report = h.manager->report(36.0, 1, 1.0);
+  const auto report = h.manager->report(36.0);
   // Every activation after t=0 paid the full cold start.
   for (const auto& e : report.events) {
     if (e.time > 0 && e.to == ReplicaState::kActive) {
@@ -283,15 +292,15 @@ TEST(ClusterManager, StopsReschedulingWhenWorkIsDone) {
 TEST(ClusterManager, ReportAccountsPaidReplicaTime) {
   AutoscalerConfig config = manager_config();
   config.initial_replicas = 2;
-  ManagerHarness h(config, 4);
+  ManagerHarness h(config, 4, /*gpus_per_replica=*/2,
+                   /*cost_per_gpu_hour=*/3.0);
   h.run_until(4.0);       // before the first decision tick
   h.work = false;         // let the queue drain
   h.run_until(1e9);
 
   // Drains happen at the t=5 tick (replica 1 idle -> immediate release);
   // replica 0 stays up to the horizon.
-  const auto report = h.manager->report(100.0, /*gpus_per_replica=*/2,
-                                        /*cost_per_gpu_hour=*/3.0);
+  const auto report = h.manager->report(100.0);
   EXPECT_TRUE(report.enabled);
   EXPECT_EQ(report.peak_active, 2);
   const double expected_replica_seconds = 100.0 + 5.0;

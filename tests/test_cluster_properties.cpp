@@ -18,6 +18,7 @@
 
 #include "cluster/cluster_manager.h"
 #include "cluster/pool.h"
+#include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 
@@ -412,6 +413,34 @@ INSTANTIATE_TEST_SUITE_P(Policies, ClusterPropertySimulation,
                          [](const auto& info) {
                            return policy_name(info.param);
                          });
+
+TEST(PoolFleetTotals, FleetEnergyIsTheSumOfThePools) {
+  // 3 x a100 + 2 x h100, static and elastic: each pool bills its batches
+  // and idle time at its own SKU's rates, and the fleet adds them up.
+  Scenario scenario = scenario_by_name("flash-crowd-mixed");
+  scenario.num_requests = 500;
+  const Trace trace = generate_scenario_trace(scenario, 3);
+  for (const AutoscalerConfig& policy :
+       {AutoscalerConfig{}, make_policy(PolicyAxis::kReactive)}) {
+    SCOPED_TRACE(policy.enabled() ? "elastic" : "static");
+    const Topology topology{
+        "mixed-sku",
+        {make_pool("a100-pool", "a100", PoolRole::kUnified, 3, policy),
+         make_pool("h100-pool", "h100", PoolRole::kUnified, 2, policy)}};
+    SimulationConfig config = pool_sim_config(topology);
+    config.tenants = scenario.tenant_infos();
+    Simulator sim(config, trace, pool_reference_factory(config, 9));
+    const SimulationMetrics m = sim.run();
+    ASSERT_EQ(m.scaling.pools.size(), 2u);
+    double sum = 0.0;
+    for (const PoolScalingReport& pool : m.scaling.pools) {
+      EXPECT_GT(pool.energy_joules, 0.0);
+      sum += pool.energy_joules;
+    }
+    EXPECT_EQ(m.total_energy_joules, sum);
+    EXPECT_EQ(m.mean_cluster_power_watts, sum / m.makespan);
+  }
+}
 
 }  // namespace
 }  // namespace vidur

@@ -206,12 +206,6 @@ TEST(MetricsCollector, BatchAggregatesIgnoreReplicaInterleaving) {
   // depend only on each replica's own batch sequence — not on how the
   // replicas' batches interleave (the sharded engine records them from
   // several threads).
-  ClusterResources cluster{.num_replicas = 3,
-                           .gpus_per_replica = 1,
-                           .peak_flops_per_gpu = 3e12,
-                           .hbm_bytes_per_sec_per_gpu = 7e11,
-                           .idle_watts_per_gpu = 60.0,
-                           .peak_watts_per_gpu = 410.0};
   PoolResources big{.name = "big",
                     .gpus_per_replica = 1,
                     .peak_flops_per_gpu = 3e12,
@@ -251,8 +245,7 @@ TEST(MetricsCollector, BatchAggregatesIgnoreReplicaInterleaving) {
   }
 
   const auto finalize = [&](bool replica_major) {
-    MetricsCollector collector(cluster);
-    collector.set_pools({big, small}, {0, 1, 1});
+    MetricsCollector collector({big, small}, {0, 1, 1});
     if (replica_major) {
       for (const auto& batches : per_replica)
         for (const BatchRecord& b : batches) collector.record_batch(b);

@@ -350,15 +350,6 @@ TEST(RollingCollector, SimulationFillsClusterTrack) {
 TEST(PoolAttribution, TwoPoolRunMatchesHandComputedValues) {
   // Scripted run: two pools with different SKU rates, one batch each, all
   // numbers chosen so MFU/MBU/energy are exact by hand.
-  ClusterResources cluster;
-  cluster.num_replicas = 2;
-  cluster.gpus_per_replica = 1;
-  cluster.peak_flops_per_gpu = 100.0;
-  cluster.hbm_bytes_per_sec_per_gpu = 50.0;
-  cluster.idle_watts_per_gpu = 10.0;
-  cluster.peak_watts_per_gpu = 110.0;
-  MetricsCollector collector(cluster);
-
   PoolResources fast;  // slot 0
   fast.name = "fast";
   fast.gpus_per_replica = 1;
@@ -373,7 +364,7 @@ TEST(PoolAttribution, TwoPoolRunMatchesHandComputedValues) {
   slow.hbm_bytes_per_sec_per_gpu = 100.0;
   slow.idle_watts_per_gpu = 20.0;
   slow.peak_watts_per_gpu = 120.0;
-  collector.set_pools({fast, slow}, {0, 1});
+  MetricsCollector collector({fast, slow}, {0, 1});
 
   BatchRecord b0;  // 4 s on the fast pool at 50% FLOP / 25% BW intensity
   b0.replica = 0;
@@ -429,8 +420,13 @@ TEST(PoolAttribution, TwoPoolRunMatchesHandComputedValues) {
   EXPECT_DOUBLE_EQ(s.busy_fraction, 0.2);
   EXPECT_DOUBLE_EQ(s.energy_joules, 400.0);
 
-  // The pools' exact numbers differ from what slot-weighted fleet averages
-  // would claim for the slow pool (its own peak is half the fleet mean).
+  // Fleet figures are exact sums over the pools: 300 flops / (10 s * (100
+  // + 50) flop/s) = 0.2; 150 B / (10 s * (50 + 100) B/s) = 0.1; energy is
+  // the pools' own 300 J + 400 J.
+  EXPECT_DOUBLE_EQ(m.mfu, 0.2);
+  EXPECT_DOUBLE_EQ(m.mbu, 0.1);
+  EXPECT_DOUBLE_EQ(m.total_energy_joules, 700.0);
+  EXPECT_DOUBLE_EQ(m.mean_cluster_power_watts, 70.0);
   EXPECT_DOUBLE_EQ(m.busy_fraction, 6.0 / 20.0);
 }
 

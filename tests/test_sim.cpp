@@ -674,5 +674,134 @@ TEST(SimulatorFinalize, BatchAggregatesAgreeAcrossEngines) {
   EXPECT_EQ(runs[1].mean_kv_utilization, runs[0].mean_kv_utilization);
 }
 
+// ------------------------------------------------- one deployment form
+
+/// One deployment, run once in the homogeneous shorthand and once as the
+/// hand-written pools the shorthand means.
+struct FormCase {
+  const char* name;
+  GlobalSchedulerKind routing;
+  SchedulerKind scheduler;
+  ParallelConfig parallel;
+  int prefill_replicas = 0;  ///< > 0: the disaggregation shorthand
+  bool cache = false;        ///< prefix cache + rolling windows, sessions
+  bool elastic = false;
+};
+
+AutoscalerConfig form_autoscale() {
+  AutoscalerConfig a;
+  a.kind = AutoscalerKind::kReactive;
+  a.provision_delay = 5.0;
+  a.warmup_delay = 2.5;
+  a.decision_interval = 2.0;
+  a.scale_down_cooldown = 30.0;
+  a.target_load_per_replica = 10.0;
+  a.scale_up_load = 16.0;
+  a.scale_down_load = 3.0;
+  return a;
+}
+
+PoolSpec form_pool(const FormCase& c, const char* name, PoolRole role,
+                   int slots) {
+  PoolSpec pool;
+  pool.name = name;
+  pool.role = role;
+  pool.parallel = c.parallel;
+  pool.parallel.num_replicas = slots;
+  if (c.elastic) pool.autoscale = form_autoscale();
+  return pool;
+}
+
+/// Every field of two runs' metrics, section by section.
+void expect_same_metrics(const SimulationMetrics& a,
+                         const SimulationMetrics& b) {
+  EXPECT_EQ(a.scheduling_delay, b.scheduling_delay);
+  EXPECT_EQ(a.ttft, b.ttft);
+  EXPECT_EQ(a.tbt, b.tbt);
+  EXPECT_EQ(a.normalized_e2e_latency, b.normalized_e2e_latency);
+  EXPECT_EQ(a.normalized_execution_latency, b.normalized_execution_latency);
+  EXPECT_EQ(a.mfu, b.mfu);
+  EXPECT_EQ(a.mbu, b.mbu);
+  EXPECT_EQ(a.total_energy_joules, b.total_energy_joules);
+  EXPECT_EQ(a.tenant_metrics, b.tenant_metrics);
+  EXPECT_EQ(a.scaling, b.scaling);
+  EXPECT_EQ(a.registry, b.registry);
+  EXPECT_EQ(a.rolling, b.rolling);
+  EXPECT_EQ(a.prefix_cache, b.prefix_cache);
+  EXPECT_EQ(a.resilience, b.resilience);
+  EXPECT_EQ(a, b);  // and every remaining field
+}
+
+TEST(DeploymentForms, ShorthandAndPoolsReportTheSameRun) {
+  const FormCase cases[] = {
+      {"round-robin tp1x4", GlobalSchedulerKind::kRoundRobin,
+       SchedulerKind::kVllm, {1, 1, 4}},
+      {"least-outstanding tp2x3", GlobalSchedulerKind::kLeastOutstanding,
+       SchedulerKind::kSarathi, {2, 1, 3}},
+      {"least-outstanding tp2pp2", GlobalSchedulerKind::kLeastOutstanding,
+       SchedulerKind::kVllm, {2, 2, 2}},
+      {"deferred", GlobalSchedulerKind::kDeferred, SchedulerKind::kVllm,
+       {1, 1, 3}},
+      {"cache-aware", GlobalSchedulerKind::kCacheAware,
+       SchedulerKind::kSarathi, {1, 1, 2}, 0, /*cache=*/true},
+      {"disaggregated tp1", GlobalSchedulerKind::kLeastOutstanding,
+       SchedulerKind::kSarathi, {1, 1, 3}, /*prefill_replicas=*/1},
+      {"disaggregated tp2", GlobalSchedulerKind::kRoundRobin,
+       SchedulerKind::kSarathi, {2, 1, 4}, /*prefill_replicas=*/2},
+      {"elastic", GlobalSchedulerKind::kLeastOutstanding,
+       SchedulerKind::kSarathi, {1, 1, 4}, 0, false, /*elastic=*/true},
+  };
+  for (const FormCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    SimulationConfig shorthand = base_config(c.scheduler);
+    shorthand.global_scheduler = c.routing;
+    shorthand.parallel = c.parallel;
+    shorthand.disagg.num_prefill_replicas = c.prefill_replicas;
+    if (c.elastic) shorthand.autoscale = form_autoscale();
+    Trace trace = poisson_trace(120, 4.0);
+    if (c.cache || c.elastic) {
+      Scenario scenario =
+          scenario_by_name(c.cache ? "session-chat" : "flash-crowd-mixed");
+      scenario.num_requests = 150;
+      shorthand.tenants = scenario.tenant_infos();
+      trace = generate_scenario_trace(scenario, 3);
+    }
+    if (c.cache) {
+      shorthand.prefix_cache.enabled = true;
+      shorthand.obs.rolling_window_s = 30.0;
+    }
+
+    SimulationConfig pooled = shorthand;
+    pooled.node = NodeSpec{};
+    pooled.parallel = ParallelConfig{};
+    pooled.disagg.num_prefill_replicas = 0;
+    pooled.autoscale = AutoscalerConfig{};
+    if (c.prefill_replicas > 0) {
+      pooled.pools = {
+          form_pool(c, "prefill", PoolRole::kPrefill, c.prefill_replicas),
+          form_pool(c, "decode", PoolRole::kDecode,
+                    c.parallel.num_replicas - c.prefill_replicas)};
+    } else {
+      pooled.pools = {form_pool(c, "fleet", PoolRole::kUnified,
+                                c.parallel.num_replicas)};
+    }
+    EXPECT_EQ(deployment_pools(shorthand), pooled.pools);
+
+    // Every slot of these deployments shares one TP/PP, so one backend
+    // factory serves both forms.
+    Simulator a(shorthand, trace, reference_factory(shorthand, 5));
+    Simulator b(pooled, trace, reference_factory(shorthand, 5));
+    const SimulationMetrics legacy = a.run();
+    const SimulationMetrics pools = b.run();
+    EXPECT_EQ(legacy.num_completed, legacy.num_requests);
+    ASSERT_EQ(legacy.scaling.pools.size(), pooled.pools.size());
+    if (c.cache) {
+      EXPECT_EQ(legacy.prefix_cache.by_pool.size(), 1u);
+      EXPECT_EQ(legacy.rolling.back().name, "pool:fleet");
+    }
+    expect_same_metrics(legacy, pools);
+  }
+}
+
 }  // namespace
 }  // namespace vidur

@@ -233,8 +233,10 @@ ExperimentSpec random_spec(Rng& rng) {
                                 static_cast<int>(rng.uniform_int(1, 2)),
                                 static_cast<int>(rng.uniform_int(1, 6))};
     if (form == 1 && !elastic_mode) {
+      // Disaggregation needs a decode replica besides the prefill ones.
+      d.parallel.num_replicas = std::max(2, d.parallel.num_replicas);
       d.disagg.num_prefill_replicas = static_cast<int>(
-          rng.uniform_int(1, std::max(1, d.parallel.num_replicas - 1)));
+          rng.uniform_int(1, d.parallel.num_replicas - 1));
       if (coin(rng))
         d.disagg.transfer_bandwidth_gbps = rng.uniform(5.0, 100.0);
       if (coin(rng)) d.disagg.transfer_latency = rng.uniform(1e-4, 1e-2);
