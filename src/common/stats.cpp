@@ -134,73 +134,17 @@ double from_order_key(std::uint64_t key) {
 
 }  // namespace
 
-template <typename Sample>
-void StreamSummary::feed(std::size_t count, const Sample& sample) {
-  // Accumulators live in locals for the whole batch (no store-to-load
-  // chains through members), summing in stream order exactly as
-  // SampleSeries does: the values, then the squared deviations.
-  const std::uint64_t mask = mask_;
-  const int shift = shift_;
-  const std::uint64_t digit_mask = (std::uint64_t{1} << width_) - 1;
-  const std::uint8_t* const route_table = route_.data();
-  const int route_shift = route_shift_;
-  const std::uint64_t* const prefix = group_prefix_.data();
-  const std::size_t num_groups = group_prefix_.size();
-  const auto route = [&](std::uint64_t key) {
-    // The previous digit picks the candidate group; most samples stop here.
-    std::size_t g = route_table[(key >> route_shift) & (kRouteSize - 1)];
-    if (g == 0) return;
-    const std::uint64_t top = key & mask;
-    if (g == kAmbiguous) {
-      g = 0;
-      while (g < num_groups && prefix[g] != top) ++g;
-      if (g == num_groups) return;
-    } else if (prefix[--g] != top) {
-      return;
-    }
-    Group& group = groups_[g];
-    if (group.gather)
-      group.keys.push_back(key);
-    else
-      ++group.count[static_cast<std::size_t>((key >> shift) & digit_mask)];
-  };
-  if (pass_ == 0) {
-    // Every sample shares the empty prefix: count its first digit.
-    std::uint64_t* const first = groups_[0].count.data();
-    double sum = sum_, lo = min_, hi = max_;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double x = sample(i);
-      sum += x;
-      if (x < lo) lo = x;
-      if (hi < x) hi = x;
-      ++first[order_key(x) >> shift];
-    }
-    n_ += count;
-    sum_ = sum;
-    min_ = lo;
-    max_ = hi;
-  } else if (pass_ == 1) {
-    const double mean = mean_;
-    double dev = dev_;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double x = sample(i);
-      dev += (x - mean) * (x - mean);
-      route(order_key(x));
-    }
-    dev_ = dev;
-  } else if (num_groups > 0) {
-    for (std::size_t i = 0; i < count; ++i) route(order_key(sample(i)));
-  }
-}
-
 void StreamSummary::add(double x) {
-  feed(1, [x](std::size_t) { return x; });
+  add_each(1, [x](const auto& sink) { sink(x); });
 }
 
 void StreamSummary::add_gaps(const std::vector<double>& times) {
   if (times.size() < 2) return;
   const double* const t = times.data();
-  feed(times.size() - 1, [t](std::size_t i) { return t[i + 1] - t[i]; });
+  const std::size_t n = times.size() - 1;
+  add_each(n, [t, n](const auto& sink) {
+    for (std::size_t i = 0; i < n; ++i) sink(t[i + 1] - t[i]);
+  });
 }
 
 bool StreamSummary::next_pass() {

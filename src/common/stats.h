@@ -117,9 +117,14 @@ class StreamSummary {
   bool next_pass();
   /// Feed one sample of the current pass.
   void add(double x);
+  /// Feed the `count` samples `visit` yields, in order: visit(sink) calls
+  /// sink(x) once per sample. The bulk form of add(), for long streams that
+  /// are not stored as one array, such as one request's inter-token gaps
+  /// (TokenTimes::for_each_gap).
+  template <typename Visit>
+  void add_each(std::size_t count, const Visit& visit);
   /// Feed the gaps between consecutive entries of `times`, in order
-  /// (times[1] - times[0], ...): the inter-token gaps of one request. The
-  /// bulk form of add(), for long streams.
+  /// (times[1] - times[0], ...).
   void add_gaps(const std::vector<double>& times);
   const Summary& summary() const { return out_; }
 
@@ -148,8 +153,6 @@ class StreamSummary {
     double value = 0.0;
   };
 
-  template <typename Sample>
-  void feed(std::size_t count, const Sample& sample);
   /// Resolve what the finished pass counted or gathered, then lay out the
   /// next pass's groups. False when nothing is left to select.
   bool plan_next_pass();
@@ -177,5 +180,64 @@ class StreamSummary {
   std::vector<Target> targets_;
   Summary out_;
 };
+
+template <typename Visit>
+void StreamSummary::add_each(std::size_t count, const Visit& visit) {
+  // Accumulators live in locals for the whole stream (no store-to-load
+  // chains through members), summing in stream order exactly as
+  // SampleSeries does: the values, then the squared deviations.
+  const std::uint64_t mask = mask_;
+  const int shift = shift_;
+  const std::uint64_t digit_mask = (std::uint64_t{1} << width_) - 1;
+  const std::uint8_t* const route_table = route_.data();
+  const int route_shift = route_shift_;
+  const std::uint64_t* const prefix = group_prefix_.data();
+  const std::size_t num_groups = group_prefix_.size();
+  const auto route = [&](std::uint64_t key) {
+    // The previous digit picks the candidate group; most samples stop here.
+    std::size_t g = route_table[(key >> route_shift) & (kRouteSize - 1)];
+    if (g == 0) return;
+    const std::uint64_t top = key & mask;
+    if (g == kAmbiguous) {
+      g = 0;
+      while (g < num_groups && prefix[g] != top) ++g;
+      if (g == num_groups) return;
+    } else if (prefix[--g] != top) {
+      return;
+    }
+    Group& group = groups_[g];
+    if (group.gather)
+      group.keys.push_back(key);
+    else
+      ++group.count[static_cast<std::size_t>((key >> shift) & digit_mask)];
+  };
+  if (pass_ == 0) {
+    // Every sample shares the empty prefix: count its first digit.
+    std::uint64_t* const first = groups_[0].count.data();
+    double sum = sum_, lo = min_, hi = max_;
+    visit([&](double x) {
+      sum += x;
+      if (x < lo) lo = x;
+      if (hi < x) hi = x;
+      ++first[order_key(x) >> shift];
+    });
+    n_ += count;
+    sum_ = sum;
+    min_ = lo;
+    max_ = hi;
+  } else if (pass_ == 1 || num_groups > 0) {
+    // Pass 1 also sums the squared deviations, which need pass 0's mean.
+    // One loop serves pass 1 and later, so `route` has one call site and
+    // stays inlined.
+    const bool deviation = pass_ == 1;
+    const double mean = mean_;
+    double dev = dev_;
+    visit([&](double x) {
+      if (deviation) dev += (x - mean) * (x - mean);
+      route(order_key(x));
+    });
+    dev_ = dev;
+  }
+}
 
 }  // namespace vidur

@@ -139,10 +139,12 @@ struct RecordSummaries {
       s.add((r.*metric)());
     });
   }
-  /// Every inter-token gap of each record.
+  /// Every inter-token gap of each record, one feed per record.
   Summary tbt() const {
     return summarize([](StreamSummary& s, const RequestRecord& r) {
-      s.add_gaps(r.token_times);
+      if (r.token_times.size() < 2) return;
+      s.add_each(r.token_times.size() - 1,
+                 [&r](const auto& f) { r.token_times.for_each_gap(f); });
     });
   }
   template <typename Feed>

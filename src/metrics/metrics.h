@@ -2,7 +2,6 @@
 // and cluster-level performance metrics gathered during a simulation.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -12,6 +11,7 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "execution/batch_spec.h"
+#include "metrics/token_times.h"
 #include "model/model_spec.h"
 #include "obs/registry.h"
 #include "obs/rolling.h"
@@ -43,7 +43,9 @@ struct TenantInfo {
   bool operator==(const TenantInfo&) const = default;
 };
 
-/// Per-request lifecycle timestamps, filled in by the scheduler stack.
+/// Per-request lifecycle timestamps, filled in by the scheduler stack. A
+/// self-contained value: copies keep their token times readable (the
+/// TokenTimes share the run's timeline).
 struct RequestRecord {
   RequestId id = -1;
   TenantId tenant = 0;
@@ -58,7 +60,10 @@ struct RequestRecord {
   int num_handoffs = 0;  ///< queued-on-a-dead-replica immediate re-routes
   bool shed = false;     ///< dropped by the graceful-degradation floor
   bool lost = false;     ///< recovery attempts exhausted (terminal)
-  std::vector<Seconds> token_times;  ///< decode-token emission times (TBT)
+  /// Output-token emission times (TBT), as runs over the run's per-slot
+  /// batch-end timeline. A request restarted by preemption keeps the times
+  /// of its earlier attempts and re-emits after them.
+  TokenTimes token_times;
 
   bool completed() const { return completed_time >= 0.0; }
   /// Touched by a fault: displaced, handed off, shed or lost.
@@ -81,12 +86,8 @@ struct RequestRecord {
            static_cast<double>(decode_tokens);
   }
   /// Worst inter-token gap; -1 when fewer than two tokens were emitted.
-  Seconds worst_tbt() const {
-    Seconds worst = -1.0;
-    for (std::size_t i = 1; i < token_times.size(); ++i)
-      worst = std::max(worst, token_times[i] - token_times[i - 1]);
-    return worst;
-  }
+  /// Kept as the tokens are appended, so O(1).
+  Seconds worst_tbt() const { return token_times.worst_gap(); }
 };
 
 /// Read-only view of request records where they are stored: a vector of

@@ -13,8 +13,17 @@ namespace vidur {
 ReplicaScheduler::ReplicaScheduler(SchedulerConfig config, MemoryPlan plan)
     : config_(config),
       plan_(plan),
-      block_manager_(plan.num_kv_blocks, plan.block_size) {
+      block_manager_(plan.num_kv_blocks, plan.block_size),
+      timeline_(std::make_shared<TokenTimeline>(1)) {
   config.validate();
+}
+
+void ReplicaScheduler::set_timeline(std::shared_ptr<TokenTimeline> timeline,
+                                    int slot) {
+  VIDUR_CHECK(timeline != nullptr && slot >= 0 &&
+              slot < timeline->num_slots());
+  timeline_ = std::move(timeline);
+  timeline_slot_ = slot;
 }
 
 void ReplicaScheduler::enqueue(RequestState* request) {
@@ -86,6 +95,17 @@ std::vector<RequestState*> ReplicaScheduler::on_batch_end(
     const BatchSpec& batch, Seconds now) {
   obs_now_ = now;
   std::vector<RequestState*> finished;
+  // Every token of this batch carries its end time, stored once, at the
+  // first emission.
+  std::uint32_t end_index = 0;
+  bool end_stored = false;
+  const auto emit_token = [&](RequestState* r) {
+    if (!end_stored) {
+      end_index = timeline_->push(timeline_slot_, now);
+      end_stored = true;
+    }
+    r->record.token_times.append(timeline_, timeline_slot_, end_index, now);
+  };
   for (const BatchItem& item : batch.items) {
     RequestState* r = item.state;
     VIDUR_CHECK_MSG(r != nullptr,
@@ -111,12 +131,12 @@ std::vector<RequestState*> ReplicaScheduler::on_batch_end(
         if (r->record.prefill_completed_time < 0)
           r->record.prefill_completed_time = now;
         r->decode_done = 1;  // prefill emits the first output token
-        r->record.token_times.push_back(now);
+        emit_token(r);
       }
     } else {
       r->decode_done += 1;
       r->kv_context += 1;
-      r->record.token_times.push_back(now);
+      emit_token(r);
     }
 
     if (r->finished()) {

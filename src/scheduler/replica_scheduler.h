@@ -110,6 +110,13 @@ class ReplicaScheduler {
   /// demand before failing an allocation.
   void set_prefix_cache(PrefixCache* cache) { cache_ = cache; }
 
+  /// Record token times on `slot` of the run's `timeline` instead of the
+  /// private one-slot timeline a standalone scheduler starts with. Every
+  /// batch that emits tokens stores its end time there once; each emitting
+  /// request's TokenTimes extends its last run or opens a new one. The
+  /// simulator binds each replica to its own slot.
+  void set_timeline(std::shared_ptr<TokenTimeline> timeline, int slot);
+
  protected:
   /// Policy hook: append items to `batch` (and perform allocations).
   virtual void fill_batch(BatchSpec& batch, Seconds now) = 0;
@@ -176,6 +183,9 @@ class ReplicaScheduler {
   MemoryPlan plan_;
   BlockManager block_manager_;
   PrefixCache* cache_ = nullptr;  ///< borrowed; null = prefix caching off
+  /// Where this replica's batch-end times go (see set_timeline).
+  std::shared_ptr<TokenTimeline> timeline_;
+  int timeline_slot_ = 0;
   std::deque<RequestState*> waiting_;
   std::vector<RequestState*> running_;  ///< admitted, unfinished
   std::unordered_map<RequestId, RequestState*> by_id_;

@@ -101,14 +101,14 @@ TraceRecorder* Simulator::local_trace() {
   return trace_rec_;
 }
 
-Simulator::Simulator(SimulationConfig config, Trace trace,
+Simulator::Simulator(SimulationConfig config, const Trace& trace,
                      BackendFactory factory)
     : config_(lower(std::move(config))),
-      trace_(std::move(trace)),
       num_slots_(total_pool_slots(config_.pools)),
       disaggregated_(pools_disaggregated(config_.pools)),
       global_(config_.global_scheduler, num_slots_),
       pool_of_slot_(pool_slot_layout(config_.pools)),
+      timeline_(std::make_shared<TokenTimeline>(num_slots_)),
       metrics_(pool_resources(config_.pools), pool_of_slot_) {
   config_.model.validate();
   config_.scheduler.validate();
@@ -149,6 +149,7 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
       replica.scheduler = std::make_unique<DisaggDecodeScheduler>(
           config_.scheduler, plan);
     }
+    replica.scheduler->set_timeline(timeline_, r);
     if (config_.prefix_cache.enabled) {
       config_.prefix_cache.validate();
       const long capacity = static_cast<long>(
@@ -237,8 +238,8 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
   }
 
   // Request states must never reallocate: schedulers hold raw pointers.
-  states_.reserve(trace_.size());
-  for (const Request& req : trace_) {
+  states_.reserve(trace.size());
+  for (const Request& req : trace) {
     RequestState state;
     state.request = req;
     state.record.id = req.id;
@@ -246,9 +247,7 @@ Simulator::Simulator(SimulationConfig config, Trace trace,
     state.record.arrival_time = req.arrival_time;
     state.record.prefill_tokens = req.prefill_tokens;
     state.record.decode_tokens = req.decode_tokens;
-    // One slot per output token: token-time appends never reallocate.
-    state.record.token_times.reserve(
-        static_cast<std::size_t>(req.decode_tokens));
+    state.record.token_times.bind(timeline_);
     states_.push_back(std::move(state));
   }
 

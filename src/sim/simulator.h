@@ -134,8 +134,10 @@ using BackendFactory =
 class Simulator {
  public:
   /// Throws vidur::Error on invalid configuration (model does not fit,
-  /// inconsistent parallelism, ...).
-  Simulator(SimulationConfig config, Trace trace, BackendFactory factory);
+  /// inconsistent parallelism, ...). The trace is read here and not kept:
+  /// every request state carries its own Request.
+  Simulator(SimulationConfig config, const Trace& trace,
+            BackendFactory factory);
 
   /// Play the trace to completion and aggregate metrics.
   SimulationMetrics run();
@@ -324,7 +326,6 @@ class Simulator {
   /// The configuration as run: `pools` holds the deployment, the
   /// shorthand fields are cleared.
   SimulationConfig config_;
-  Trace trace_;
   int num_slots_ = 0;  ///< total replica slots over all pools
   /// Prefill/decode pools (validate_pools allows no unified pool then).
   bool disaggregated_ = false;
@@ -335,6 +336,10 @@ class Simulator {
   std::vector<int> pool_of_slot_;
   mutable std::vector<bool> arrival_mask_scratch_;
   std::vector<Replica> replicas_;
+  /// Batch-end times of every slot, shared by all request records: each
+  /// replica's scheduler appends to its own slot, and every record is
+  /// bound to it up front, so token appends copy no shared_ptr.
+  std::shared_ptr<TokenTimeline> timeline_;
   std::vector<RequestState> states_;
   MetricsCollector metrics_;
   mutable std::vector<int> outstanding_scratch_;

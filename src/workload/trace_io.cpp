@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -19,26 +23,34 @@ std::string fmt_exact(double v) {
   return buffer;
 }
 
-long parse_long(const std::string& text, const char* what) {
-  long value = 0;
+/// An integer field, or nullopt when `text` is not one within int64.
+std::optional<std::int64_t> to_int(const std::string& text) {
+  std::int64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc() || ptr != text.data() + text.size())
-    throw Error(std::string("trace CSV: bad ") + what + " value '" + text +
-                "'");
+    return std::nullopt;
   return value;
 }
 
-double parse_double(const std::string& text, const char* what) {
+/// A floating-point field, or nullopt when `text` is not one within the
+/// double range.
+std::optional<double> to_double(const std::string& text) {
   try {
     std::size_t consumed = 0;
     const double value = std::stod(text, &consumed);
-    if (consumed != text.size()) throw std::invalid_argument(text);
+    if (consumed != text.size()) return std::nullopt;
     return value;
   } catch (const std::exception&) {
-    throw Error(std::string("trace CSV: bad ") + what + " value '" + text +
-                "'");
+    return std::nullopt;
   }
+}
+
+/// The loader's error for one field: every message names the request and
+/// the column.
+Error field_error(RequestId id, const char* column, const std::string& what) {
+  return Error("trace CSV: request " + std::to_string(id) + ", column " +
+               column + ": " + what);
 }
 
 CsvWriter trace_writer(const Trace& trace) {
@@ -63,29 +75,48 @@ Trace trace_from_doc(const CsvDocument& doc) {
   const std::size_t tenant_col = doc.try_column("tenant");
   const std::size_t priority_col = doc.try_column("priority");
 
+  // Token counts, tenant and priority must fit the 32-bit range the spec
+  // reader enforces, so no token sum overflows; arrival times must be
+  // finite, so the arrival sort and the event queue see a total order.
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
   Trace trace;
   trace.reserve(doc.rows.size());
   std::unordered_set<RequestId> seen;
   seen.reserve(doc.rows.size());
-  for (const auto& row : doc.rows) {
+  for (std::size_t i = 0; i < doc.rows.size(); ++i) {
+    const std::vector<std::string>& row = doc.rows[i];
     Request r;
-    r.id = parse_long(row[id_col], "request_id");
-    r.arrival_time = parse_double(row[arrival_col], "arrival_time");
-    r.prefill_tokens = parse_long(row[prefill_col], "prefill_tokens");
-    r.decode_tokens = parse_long(row[decode_col], "decode_tokens");
+    const std::optional<std::int64_t> id = to_int(row[id_col]);
+    if (!id)
+      throw Error("trace CSV: data row " + std::to_string(i + 1) +
+                  ", column request_id: bad value '" + row[id_col] + "'");
+    r.id = *id;
+    const auto integer = [&](std::size_t col, const char* column,
+                             std::int64_t lo) {
+      const std::optional<std::int64_t> value = to_int(row[col]);
+      if (!value)
+        throw field_error(r.id, column, "bad value '" + row[col] + "'");
+      if (*value < lo || *value > kMax32)
+        throw field_error(r.id, column,
+                          row[col] + " is outside [" + std::to_string(lo) +
+                              ", " + std::to_string(kMax32) + "]");
+      return *value;
+    };
+    const std::optional<double> arrival = to_double(row[arrival_col]);
+    if (!arrival)
+      throw field_error(r.id, "arrival_time",
+                        "bad value '" + row[arrival_col] + "'");
+    if (!std::isfinite(*arrival) || *arrival < 0)
+      throw field_error(r.id, "arrival_time",
+                        row[arrival_col] + " is not a finite time >= 0");
+    r.arrival_time = *arrival;
+    r.prefill_tokens = integer(prefill_col, "prefill_tokens", 1);
+    r.decode_tokens = integer(decode_col, "decode_tokens", 1);
     if (tenant_col != CsvDocument::npos)
-      r.tenant = static_cast<TenantId>(parse_long(row[tenant_col], "tenant"));
+      r.tenant = static_cast<TenantId>(integer(tenant_col, "tenant", 0));
     if (priority_col != CsvDocument::npos)
-      r.priority = static_cast<int>(parse_long(row[priority_col], "priority"));
-    if (r.tenant < 0)
-      throw Error("trace CSV: negative tenant for request " +
-                  std::to_string(r.id));
-    if (r.arrival_time < 0)
-      throw Error("trace CSV: negative arrival_time for request " +
-                  std::to_string(r.id));
-    if (r.prefill_tokens <= 0 || r.decode_tokens <= 0)
-      throw Error("trace CSV: non-positive token count for request " +
-                  std::to_string(r.id));
+      r.priority = static_cast<int>(integer(priority_col, "priority", kMin32));
     if (!seen.insert(r.id).second)
       throw Error("trace CSV: duplicate request_id " + std::to_string(r.id));
     trace.push_back(r);

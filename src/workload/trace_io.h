@@ -17,9 +17,11 @@ namespace vidur {
 /// Render a trace as CSV text.
 std::string trace_to_csv(const Trace& trace);
 
-/// Parse a trace from CSV text. Validates the schema and every row
-/// (non-negative arrival, positive token counts, unique ids) and returns the
-/// requests sorted by arrival time. Throws vidur::Error on malformed input.
+/// Parse a trace from CSV text. Validates the schema and every row (finite
+/// non-negative arrival; token counts in [1, 2^31 - 1]; tenant in
+/// [0, 2^31 - 1]; priority a 32-bit integer; unique ids) and returns the
+/// requests sorted by arrival time. Throws vidur::Error on malformed input,
+/// naming the request and the column.
 Trace trace_from_csv(const std::string& text);
 
 /// File variants of the above. Throw vidur::Error on I/O failure.

@@ -2,6 +2,10 @@
 // aggregation (throughput, MFU, utilization accounting).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "common/check.h"
 #include "common/random.h"
 #include "metrics/metrics.h"
@@ -43,7 +47,7 @@ TEST(RequestRecord, WorstTbtIsLargestGapOrMinusOne) {
   EXPECT_DOUBLE_EQ(r.worst_tbt(), 12.6 - 12.0);
   r.token_times = {11.0};
   EXPECT_EQ(r.worst_tbt(), -1.0);
-  r.token_times.clear();
+  r.token_times = {};
   EXPECT_EQ(r.worst_tbt(), -1.0);
   r.token_times = {11.0, 11.0};  // a zero gap is still a gap
   EXPECT_EQ(r.worst_tbt(), 0.0);
@@ -183,7 +187,10 @@ TEST(MetricsCollector, RecordViewMatchesRecordedCopies) {
     held[i].record.id = static_cast<RequestId>(i);
     held[i].record.tenant = static_cast<TenantId>(i % 2);
     held[i].record.completed_time += static_cast<double>(i);
-    held[i].record.token_times.push_back(15.0 + static_cast<double>(i));
+    // sample_record()'s times plus one.
+    held[i].record.token_times = {11.0, 11.5, 12.0, 12.6, 13.0, 13.4, 13.8,
+                                  14.2, 14.6, 15.0,
+                                  15.0 + static_cast<double>(i)};
     copies.record_request(held[i].record);
   }
   const MetricsCollector in_place(1, 1e12, 1);
@@ -276,6 +283,155 @@ TEST(MetricsCollector, BatchAggregatesIgnoreReplicaInterleaving) {
     EXPECT_EQ(a.scaling.pools[p].energy_joules,
               b.scaling.pools[p].energy_joules);
   }
+}
+
+// ------------------------------------------------------ token-time runs
+
+void expect_same_summary(const Summary& got, const Summary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.stddev, want.stddev);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.max, want.max);
+}
+
+/// `times` holds exactly `model`'s times, and its running figures agree.
+void expect_matches_model(const TokenTimes& times,
+                          const std::vector<Seconds>& model) {
+  ASSERT_EQ(times.size(), model.size());
+  EXPECT_TRUE(
+      std::equal(times.begin(), times.end(), model.begin(), model.end()));
+  Seconds worst = -1.0;
+  for (std::size_t i = 1; i < model.size(); ++i)
+    worst = std::max(worst, model[i] - model[i - 1]);
+  EXPECT_EQ(times.worst_gap(), worst);
+  if (!model.empty()) {
+    EXPECT_EQ(times.front(), model.front());
+    EXPECT_EQ(times.back(), model.back());
+  }
+  EXPECT_LE(times.runs().size(), model.size());
+}
+
+TEST(TokenTimes, SeededAppendsMatchAPerTokenVector) {
+  // Random batch ends over several slots, against a plain vector per
+  // record. Records skip batches of their slot, move to another slot
+  // (hand-offs and retries), pause and emit again (a preemption restart),
+  // or stop after 0, 1 or 2 tokens. Half bind up front, as the simulator
+  // does; the rest bind on their first append.
+  struct Model {
+    TokenTimes times;
+    std::vector<Seconds> model;
+    int slot = 0;
+    std::size_t limit = 0;  ///< tokens it emits in all
+    int paused = 0;         ///< batches left before it emits again
+  };
+  Rng rng(71);
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng.uniform_int(0, n - 1));
+  };
+  std::size_t tokens = 0, runs = 0;
+  for (int round = 0; round < 25; ++round) {
+    const int num_slots = 1 + pick(4);
+    const auto timeline = std::make_shared<TokenTimeline>(num_slots);
+    std::vector<Model> records(12);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      Model& r = records[i];
+      r.slot = pick(num_slots);
+      r.limit = i < 3 ? i : static_cast<std::size_t>(3 + pick(300));
+      if (i % 2 == 0) r.times.bind(timeline);
+    }
+    Seconds now = rng.uniform(0.0, 100.0);
+    for (int batch = 0; batch < 600; ++batch) {
+      // Iteration times repeat up to rounding; equal ends give zero gaps.
+      now += 0.0125 * static_cast<double>(pick(4));
+      const int slot = pick(num_slots);
+      bool stored = false;
+      std::uint32_t index = 0;
+      for (Model& r : records) {
+        if (r.model.size() >= r.limit) continue;
+        if (r.paused > 0) {
+          --r.paused;
+          continue;
+        }
+        const double u = rng.uniform();
+        if (u < 0.03) {
+          r.slot = pick(num_slots);  // handed off or retried elsewhere
+        } else if (u < 0.04) {
+          r.paused = 5 + pick(40);  // restarted: re-prefills, then emits
+          continue;
+        }
+        if (r.slot != slot || u > 0.8) continue;  // not in this batch
+        if (!stored) {
+          index = timeline->push(slot, now);
+          stored = true;
+        }
+        r.times.append(timeline, slot, index, now);
+        r.model.push_back(now);
+      }
+    }
+    for (const Model& r : records) {
+      expect_matches_model(r.times, r.model);
+      tokens += r.model.size();
+      runs += r.times.runs().size();
+    }
+
+    // The TBT feed: one visitor feed per record sees the same stream as
+    // add_gaps over the vectors.
+    StreamSummary via_runs, via_vectors;
+    while (via_runs.next_pass())
+      for (const Model& r : records)
+        if (r.times.size() >= 2)
+          via_runs.add_each(r.times.size() - 1, [&r](const auto& sink) {
+            r.times.for_each_gap(sink);
+          });
+    while (via_vectors.next_pass())
+      for (const Model& r : records) via_vectors.add_gaps(r.model);
+    expect_same_summary(via_runs.summary(), via_vectors.summary());
+  }
+  EXPECT_LT(runs, tokens);  // consecutive batches extend a run
+}
+
+TEST(TokenTimes, HandBuiltTimesFormOneRun) {
+  const TokenTimes times = {1.0, 2.0, 4.0, 4.5};
+  expect_matches_model(times, {1.0, 2.0, 4.0, 4.5});
+  EXPECT_EQ(times.runs().size(), 1u);
+  EXPECT_EQ(times.worst_gap(), 2.0);
+  expect_matches_model(TokenTimes{}, {});
+  expect_matches_model(TokenTimes{3.0}, {3.0});
+}
+
+TEST(TokenTimes, AppendAgainstAnotherTimelineFails) {
+  const auto a = std::make_shared<TokenTimeline>(1);
+  const auto b = std::make_shared<TokenTimeline>(1);
+  TokenTimes times;
+  times.bind(a);
+  EXPECT_THROW(times.append(b, 0, b->push(0, 1.0), 1.0), Error);
+  times.append(a, 0, a->push(0, 1.0), 1.0);
+  EXPECT_THROW(times.bind(b), Error);  // only an empty record is bound
+  TokenTimes unbound;
+  unbound.append(b, 0, b->push(0, 2.0), 2.0);  // binds to b
+  EXPECT_THROW(unbound.append(a, 0, a->push(0, 3.0), 3.0), Error);
+}
+
+TEST(TokenTimes, CopiesOutliveTheirTimeline) {
+  // A record copied out of a run stays readable once the run is gone.
+  TokenTimes copy;
+  {
+    const auto timeline = std::make_shared<TokenTimeline>(2);
+    TokenTimes times;
+    times.bind(timeline);
+    for (int i = 0; i < 5; ++i) {
+      const Seconds t = 0.5 * i;
+      times.append(timeline, i % 2, timeline->push(i % 2, t), t);
+    }
+    copy = times;
+  }
+  expect_matches_model(copy, {0.0, 0.5, 1.0, 1.5, 2.0});
+  EXPECT_EQ(copy.runs().size(), 5u);  // every token changed slot
 }
 
 }  // namespace

@@ -358,8 +358,9 @@ RequestRecord completed_record(RequestId id, TenantId tenant, Seconds ttft,
   r.prefill_completed_time = ttft;
   r.decode_tokens = decode_tokens;
   r.prefill_tokens = 10;
-  for (int i = 0; i < decode_tokens; ++i)
-    r.token_times.push_back(ttft + i * tbt_gap);
+  std::vector<Seconds> times;
+  for (int i = 0; i < decode_tokens; ++i) times.push_back(ttft + i * tbt_gap);
+  r.token_times = TokenTimes(times);
   r.completed_time = r.token_times.back();
   return r;
 }

@@ -2,6 +2,7 @@
 // schedulers, parallelism configs and global routing policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -538,8 +539,8 @@ TEST(Simulator, RandomizedConfigurationsSatisfyInvariants) {
       EXPECT_LE(r.record.ttft(), r.record.e2e_latency() + 1e-12);
       EXPECT_EQ(static_cast<TokenCount>(r.record.token_times.size()),
                 r.request.decode_tokens);
-      for (std::size_t i = 1; i < r.record.token_times.size(); ++i)
-        EXPECT_GE(r.record.token_times[i], r.record.token_times[i - 1]);
+      EXPECT_TRUE(std::is_sorted(r.record.token_times.begin(),
+                                 r.record.token_times.end()));
     }
   }
 }
@@ -730,6 +731,72 @@ void expect_same_metrics(const SimulationMetrics& a,
   EXPECT_EQ(a.prefix_cache, b.prefix_cache);
   EXPECT_EQ(a.resilience, b.resilience);
   EXPECT_EQ(a, b);  // and every remaining field
+}
+
+// ------------------------------------------- token times as batch runs
+
+/// Token counts and stored runs over a run's completed records.
+struct RunCounts {
+  std::size_t tokens = 0;
+  std::size_t runs = 0;
+};
+
+/// Every completed record's token times run, never going back, from its
+/// first token (the TTFT end) to its completion, and its running worst gap
+/// equals a walk over them.
+RunCounts check_token_times(const Simulator& sim) {
+  RunCounts counts;
+  for (const RequestState& state : sim.request_states()) {
+    const RequestRecord& rec = state.record;
+    if (!rec.completed()) continue;
+    const TokenTimes& times = rec.token_times;
+    EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+    EXPECT_EQ(times.front(), rec.prefill_completed_time);
+    EXPECT_EQ(times.back(), rec.completed_time);
+    Seconds worst = -1.0;
+    for (auto prev = times.begin(), t = std::next(prev); t != times.end();
+         prev = t++)
+      worst = std::max(worst, *t - *prev);
+    EXPECT_EQ(rec.worst_tbt(), worst);
+    counts.tokens += times.size();
+    counts.runs += times.runs().size();
+  }
+  return counts;
+}
+
+TEST(TokenTimeRuns, VllmFleetStoresFarFewerRunsThanTokens) {
+  // Round-robin vLLM fleet: prefill-only batches interleave with decode
+  // batches and break the decoding requests' runs, yet a run still covers
+  // many tokens.
+  SimulationConfig config = base_config(SchedulerKind::kVllm, 1, 1, 4);
+  config.global_scheduler = GlobalSchedulerKind::kRoundRobin;
+  Simulator sim(config, poisson_trace(400, 8.0), reference_factory(config));
+  const SimulationMetrics m = sim.run();
+  ASSERT_EQ(m.num_completed, 400u);
+  const RunCounts counts = check_token_times(sim);
+  EXPECT_GT(counts.runs, m.num_completed);  // prefill-only batches broke runs
+  EXPECT_LT(counts.runs * 4, counts.tokens);
+}
+
+TEST(TokenTimeRuns, SarathiSessionChatStoresOneRunPerRequest) {
+  // Sarathi puts every running request in every batch, so a request that
+  // is never preempted decodes in consecutive batches of its replica: one
+  // run from its first token to its last.
+  Scenario scenario = scenario_by_name("session-chat");
+  scenario.num_requests = 300;
+  SimulationConfig config = base_config(SchedulerKind::kSarathi, 1, 1, 2);
+  config.global_scheduler = GlobalSchedulerKind::kCacheAware;
+  config.prefix_cache.enabled = true;
+  config.tenants = scenario.tenant_infos();
+  Simulator sim(config, generate_scenario_trace(scenario, 7),
+                reference_factory(config));
+  const SimulationMetrics m = sim.run();
+  ASSERT_EQ(m.num_completed, 300u);
+  ASSERT_EQ(m.num_restarts, 0);
+  EXPECT_GT(m.prefix_cache.hits, 0);
+  const RunCounts counts = check_token_times(sim);
+  EXPECT_EQ(counts.runs, m.num_completed);
+  EXPECT_GT(counts.tokens, counts.runs);
 }
 
 TEST(DeploymentForms, ShorthandAndPoolsReportTheSameRun) {

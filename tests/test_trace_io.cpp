@@ -1,9 +1,14 @@
 // Tests for src/workload/trace_io: CSV round trips and replay validation.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "common/check.h"
+#include "common/random.h"
 #include "workload/trace_generator.h"
 #include "workload/trace_io.h"
 
@@ -174,6 +179,125 @@ TEST(TraceIo, ToleratesSurroundingWhitespace) {
   EXPECT_DOUBLE_EQ(trace[0].arrival_time, 1.5);
   EXPECT_EQ(trace[0].prefill_tokens, 42);
   EXPECT_EQ(trace[0].decode_tokens, 7);
+}
+
+/// `csv` must be rejected with a vidur::Error whose message names the
+/// request and the column.
+void expect_rejected(const std::string& csv, const std::string& request,
+                     const std::string& column) {
+  try {
+    trace_from_csv(csv);
+    ADD_FAILURE() << "loaded:\n" << csv;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("request " + request), std::string::npos) << what;
+    EXPECT_NE(what.find("column " + column), std::string::npos) << what;
+  }
+}
+
+/// A tagged (six-column) trace CSV with these data rows.
+std::string tagged(const std::string& rows) {
+  return "request_id,arrival_time,prefill_tokens,decode_tokens,tenant,"
+         "priority\n" +
+         rows;
+}
+
+TEST(TraceIo, NanArrivalIsRejected) {
+  // NaN has no place in the arrival sort's strict weak order.
+  expect_rejected(tagged("0,0.5,10,5,0,0\n7,nan,10,5,0,0\n"), "7",
+                  "arrival_time");
+}
+
+TEST(TraceIo, InfiniteArrivalIsRejected) {
+  expect_rejected(tagged("0,0.5,10,5,0,0\n7,inf,10,5,0,0\n"), "7",
+                  "arrival_time");
+}
+
+TEST(TraceIo, TokenCountBeyond32BitsIsRejected) {
+  // Request::total_tokens() would overflow int64 at enqueue.
+  expect_rejected(tagged("7,0.5,9223372036854775807,5,0,0\n"), "7",
+                  "prefill_tokens");
+  expect_rejected(tagged("7,0.5,10,2147483648,0,0\n"), "7",
+                  "decode_tokens");
+}
+
+TEST(TraceIo, TenantAndPriorityBeyond32BitsAreRejected) {
+  // They used to wrap silently, to tenant 0 and priority 1.
+  expect_rejected(tagged("7,0.5,10,5,4294967296,0\n"), "7", "tenant");
+  expect_rejected(tagged("7,0.5,10,5,0,4294967297\n"), "7", "priority");
+  // The 32-bit extremes themselves load.
+  const Trace trace =
+      trace_from_csv(tagged("7,0.5,10,5,2147483647,-2147483648\n"));
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].tenant, 2147483647);
+  EXPECT_EQ(trace[0].priority, -2147483647 - 1);
+}
+
+TEST(TraceIo, MutatedCsvFailsOnlyWithVidurErrors) {
+  // Seeded byte flips, truncations, short deletions and hostile token
+  // insertions into a valid tagged trace. Each mutant must load or throw
+  // vidur::Error, and every trace that loads must hold what the engine
+  // relies on: finite non-negative arrivals in order, token counts,
+  // tenant and priority in the 32-bit range, unique ids.
+  Trace original = generate_trace(trace_by_name("chat1m"),
+                                  ArrivalSpec{ArrivalKind::kPoisson, 2.0, 0},
+                                  12, 11);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    original[i].tenant = static_cast<TenantId>(i % 3);
+    original[i].priority = static_cast<int>(i % 2);
+  }
+  const std::string text = trace_to_csv(original);
+  const std::vector<std::string> tokens = {
+      "nan", "inf", "-inf", "1e400", "1e-400", "0x1p4", "-0",
+      "9223372036854775807", "9223372036854775808", "4294967296",
+      "2147483648", "-2147483649", "-1", "0", ",", "\n", " "};
+  Rng rng(20261017);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  constexpr TokenCount kMax32 = 2147483647;
+  int loaded = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string mutant = text;
+    const std::size_t pos = below(mutant.size());
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << below(8)));
+        break;
+      case 1:
+        mutant.resize(pos);
+        break;
+      case 2:
+        mutant.erase(pos, 1 + below(8));
+        break;
+      default:
+        mutant.insert(pos, tokens[below(tokens.size())]);
+        break;
+    }
+    try {
+      const Trace trace = trace_from_csv(mutant);
+      ++loaded;
+      std::unordered_set<RequestId> ids;
+      for (std::size_t k = 0; k < trace.size(); ++k) {
+        const Request& r = trace[k];
+        EXPECT_TRUE(std::isfinite(r.arrival_time) && r.arrival_time >= 0)
+            << mutant;
+        if (k > 0) {
+          EXPECT_LE(trace[k - 1].arrival_time, r.arrival_time);
+        }
+        EXPECT_TRUE(r.prefill_tokens >= 1 && r.prefill_tokens <= kMax32);
+        EXPECT_TRUE(r.decode_tokens >= 1 && r.decode_tokens <= kMax32);
+        EXPECT_GE(r.tenant, 0);
+        EXPECT_TRUE(ids.insert(r.id).second);
+      }
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what() << " escaped for\n" << mutant;
+    }
+  }
+  // Enough mutants must load for the contract checks to mean something.
+  EXPECT_GT(loaded, 500);
 }
 
 TEST(TraceIo, LargeTokenCountsSurviveRoundTrip) {
