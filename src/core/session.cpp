@@ -21,6 +21,8 @@ void VidurSession::onboard(const std::string& sku_name) {
       profile_model(model_, node, options_.tp_degrees, options_.profiler);
   estimators_[sku_name] =
       std::make_unique<RuntimeEstimator>(db, options_.estimator);
+  memos_[sku_name] =
+      std::make_unique<StageTimingMemo>(StageTimingMemo::kSharedEntries);
   profiles_.emplace(sku_name, std::move(db));
 }
 
@@ -34,6 +36,12 @@ const RuntimeEstimator& VidurSession::estimator(const std::string& sku_name) {
   onboard(sku_name);
   std::lock_guard lock(mutex_);
   return *estimators_.at(sku_name);
+}
+
+StageTimingMemo* VidurSession::memo(const std::string& sku_name) {
+  onboard(sku_name);
+  std::lock_guard lock(mutex_);
+  return memos_.at(sku_name).get();
 }
 
 SimulationConfig VidurSession::make_sim_config(
@@ -59,7 +67,7 @@ SimulationConfig VidurSession::make_sim_config(
 double VidurSession::pool_capacity_weight(const PoolSpec& pool) {
   const RuntimeEstimator& est = estimator(pool.sku_name);
   ExecutionTimePredictor predictor(&est, model_, pool.parallel,
-                                   options_.cpu_overhead);
+                                   options_.cpu_overhead, memo(pool.sku_name));
   BatchSpec batch;
   BatchItem prefill;
   prefill.request = 0;
@@ -129,27 +137,30 @@ SimulationMetrics VidurSession::simulate(
   const ModelSpec& model = model_;
   const CpuOverheadModel cpu = options_.cpu_overhead;
   prepare_pools(sim_config);
-  // Each slot gets a predictor against its pool's per-SKU estimator. The
-  // distinct estimators backing this run carry its cache-traffic deltas
-  // (pools sharing a SKU share one estimator).
+  // Each slot gets a predictor against its pool's per-SKU estimator and
+  // stage-timing memo. The distinct estimators backing this run carry its
+  // cache-traffic deltas (pools sharing a SKU share one estimator).
   const std::vector<PoolSpec> pools = deployment_pools(sim_config);
   std::vector<const RuntimeEstimator*> estimators, used;
+  std::vector<StageTimingMemo*> memos;
   std::vector<ParallelConfig> parallels;
   for (const PoolSpec& pool : pools) {
     const RuntimeEstimator* est = &estimator(pool.sku_name);
     estimators.push_back(est);
+    memos.push_back(memo(pool.sku_name));
     parallels.push_back(pool.parallel);
     if (std::find(used.begin(), used.end(), est) == used.end())
       used.push_back(est);
   }
   BackendFactory factory = [estimators = std::move(estimators),
+                            memos = std::move(memos),
                             parallels = std::move(parallels),
                             slot_pool = pool_slot_layout(pools), &model,
                             cpu](ReplicaId r) {
     const auto p =
         static_cast<std::size_t>(slot_pool[static_cast<std::size_t>(r)]);
-    return std::make_unique<ExecutionTimePredictor>(estimators[p], model,
-                                                    parallels[p], cpu);
+    return std::make_unique<ExecutionTimePredictor>(
+        estimators[p], model, parallels[p], cpu, memos[p]);
   };
   std::size_t hits_before = 0, misses_before = 0;
   for (const RuntimeEstimator* est : used) {

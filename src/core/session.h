@@ -95,11 +95,17 @@ class VidurSession {
   /// prefill chunk + 31 decodes at 512 KV context) across the pool's
   /// pipeline, from the RuntimeEstimator's per-SKU predictions.
   double pool_capacity_weight(const PoolSpec& pool);
+  /// The SKU's stage-timing memo, shared by every predictor this session
+  /// builds for it (onboards the SKU first).
+  StageTimingMemo* memo(const std::string& sku_name);
 
   ModelSpec model_;
   SessionOptions options_;
   std::map<std::string, ProfileDb> profiles_;
   std::map<std::string, std::unique_ptr<RuntimeEstimator>> estimators_;
+  /// One per onboarded SKU, created with its estimator: every replica of
+  /// every simulation and every search probe of this session shares it.
+  std::map<std::string, std::unique_ptr<StageTimingMemo>> memos_;
   mutable std::mutex mutex_;
   double simulated_gpu_seconds_ = 0.0;
   std::int64_t num_simulations_ = 0;

@@ -36,8 +36,14 @@ class RuntimeEstimator {
     /// of two). Inserts stop at 50% load; further misses recompute. The
     /// default does saturate: perfbench's `fleet-rr` (64-replica fleet) and
     /// `search` (Vidur-Search sweep) workloads fill all 32,768 insertable
-    /// entries, while `session-cache` stops at 9,439. A miss past the cap
-    /// costs one step-table read for every operator but prefill attention.
+    /// entries, while `session-cache` stops at 9,192. In a simulation only
+    /// stage-timing memo misses reach the cache (one lookup per operator),
+    /// so what fills it is the set of distinct batch signatures, not the
+    /// call count: one run of each workload's spec looks up 123k
+    /// (`fleet-rr`), 797k (`session-cache`) and 1.08M (`search`) times,
+    /// against 2.58M, 917k and 1.71M with per-replica memos. A miss past
+    /// the cap costs one step-table read for every operator but prefill
+    /// attention.
     std::size_t cache_slots = 1 << 16;
   };
 

@@ -10,31 +10,23 @@ namespace vidur {
 
 ExecutionTimePredictor::ExecutionTimePredictor(
     const RuntimeEstimator* estimator, const ModelSpec& model,
-    const ParallelConfig& parallel, CpuOverheadModel cpu)
+    const ParallelConfig& parallel, CpuOverheadModel cpu,
+    StageTimingMemo* memo)
     : estimator_(estimator),
       shapes_(model, parallel.tensor_parallel),
       parallel_(parallel),
-      cpu_(cpu) {
+      cpu_(cpu),
+      own_memo_(memo == nullptr ? std::make_unique<StageTimingMemo>(
+                                      StageTimingMemo::kPrivateEntries)
+                                : nullptr),
+      memo_(memo == nullptr ? own_memo_.get() : memo) {
   VIDUR_CHECK(estimator != nullptr);
   parallel.validate();
-}
-
-std::size_t ExecutionTimePredictor::SignatureHash::operator()(
-    const BatchSignature& s) const {
-  // Mix the six fields through a splitmix-style finalizer chain.
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    return h ^ (h >> 33);
-  };
-  std::uint64_t h = static_cast<std::uint64_t>(s.stage);
-  h = mix(h, static_cast<std::uint64_t>(s.decodes));
-  h = mix(h, static_cast<std::uint64_t>(s.sampled));
-  h = mix(h, static_cast<std::uint64_t>(s.q_tokens));
-  h = mix(h, static_cast<std::uint64_t>(s.prefill_eq));
-  h = mix(h, static_cast<std::uint64_t>(s.decode_kv_bucket));
-  return static_cast<std::size_t>(h);
+  VIDUR_CHECK_MSG(parallel.tensor_parallel < (1 << 16) &&
+                      parallel.pipeline_parallel < (1 << 16),
+                  "parallel layout TP" << parallel.tensor_parallel << " x PP"
+                                       << parallel.pipeline_parallel
+                                       << " exceeds the 16-bit memo key");
 }
 
 StageTiming ExecutionTimePredictor::stage_timing(const BatchSpec& batch,
@@ -45,26 +37,28 @@ StageTiming ExecutionTimePredictor::stage_timing(const BatchSpec& batch,
 StageTiming ExecutionTimePredictor::stage_timing(const BatchSpec& batch,
                                                  const BatchAggregates& agg,
                                                  StageId stage) {
-  BatchSignature sig;
-  sig.stage = stage;
-  sig.decodes = agg.decodes;
-  sig.sampled = agg.sampled;
-  sig.q_tokens = agg.total_q;
-  sig.prefill_eq = agg.prefill_equivalent_length();
+  StageTimingMemo::Key key;
+  key.stage = stage;
+  key.tensor_parallel = parallel_.tensor_parallel;
+  key.pipeline_parallel = parallel_.pipeline_parallel;
+  key.decodes = agg.decodes;
+  key.sampled = agg.sampled;
+  key.q_tokens = agg.total_q;
+  key.prefill_eq = agg.prefill_equivalent_length();
   // Bucket exactly like the estimator quantizes decode KV: two batches in
   // the same bucket would produce identical predictions anyway, so the memo
   // is lossless while steady-state decode batches (whose KV sum creeps up
   // every iteration) keep hitting.
-  sig.decode_kv_bucket = estimator_->quantize_decode_kv(agg.decode_kv);
+  key.decode_kv_bucket = estimator_->quantize_decode_kv(agg.decode_kv);
 
-  const auto it = timing_memo_.find(sig);
-  if (it != timing_memo_.end()) {
+  StageTiming timing;
+  if (memo_->lookup(key, &timing)) {
     ++timing_hits_;
-    return it->second;
+    return timing;
   }
   ++timing_misses_;
-  const StageTiming timing = compute_stage_timing(batch, stage);
-  timing_memo_.emplace(sig, timing);
+  timing = compute_stage_timing(batch, stage);
+  memo_->insert(key, timing);
   return timing;
 }
 

@@ -16,12 +16,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "estimator/runtime_estimator.h"
+#include "execution/stage_timing_memo.h"
 #include "execution/stage_workload.h"
 #include "hardware/sku.h"
 
@@ -51,17 +51,6 @@ struct OpTimeBreakdown {
 
   /// Operators sorted by descending time share.
   std::vector<std::pair<OpType, Seconds>> sorted() const;
-};
-
-/// One stage execution, split into the on-device compute portion and the
-/// inter-stage activation send (zero on the last stage). Synchronous
-/// pipeline scheduling serializes the two; asynchronous scheduling overlaps
-/// the send with the stage's next micro-batch (paper §4.5 future work).
-struct StageTiming {
-  Seconds compute = 0.0;
-  Seconds comm = 0.0;
-
-  Seconds total() const { return compute + comm; }
 };
 
 class ExecutionBackend {
@@ -98,21 +87,27 @@ class ExecutionBackend {
 
 /// Vidur's predictor: estimator-backed, deterministic.
 ///
-/// stage_timing() is memoized on a batch signature: in equivalent-prefill
-/// mode (the one the predictor uses), decompose_stage() depends on the
-/// batch only through a handful of aggregates, so batches sharing the
-/// signature are guaranteed the same timing — steady-state iterations skip
-/// the whole per-op prediction loop. The KV aggregate is bucketed with the
-/// estimator's own decode-KV quantization, so memoized results stay
-/// bit-identical to unmemoized ones.
+/// stage_timing() is memoized on a batch signature (StageTimingMemo::Key):
+/// in equivalent-prefill mode (the one the predictor uses),
+/// decompose_stage() depends on the batch only through a handful of
+/// aggregates, so batches sharing the signature are guaranteed the same
+/// timing — steady-state iterations skip the whole per-op prediction loop.
+/// The KV aggregate is bucketed with the estimator's own decode-KV
+/// quantization, so memoized results stay bit-identical to unmemoized ones.
+/// The memo is either shared (VidurSession passes its per-SKU table, so
+/// every replica and every search probe reuses the same entries) or, when
+/// none is given, a private table of StageTimingMemo::kPrivateEntries.
 class ExecutionTimePredictor final : public ExecutionBackend {
  public:
   /// `estimator` must outlive this object (shared across simulations so the
-  /// operation-wise lookup cache is reused).
+  /// operation-wise lookup cache is reused). A non-null `memo` must outlive
+  /// it too, and may only be shared by predictors over the same estimator
+  /// and model: its key holds the parallel layout but neither of those.
   ExecutionTimePredictor(const RuntimeEstimator* estimator,
                          const ModelSpec& model,
                          const ParallelConfig& parallel,
-                         CpuOverheadModel cpu = CpuOverheadModel());
+                         CpuOverheadModel cpu = CpuOverheadModel(),
+                         StageTimingMemo* memo = nullptr);
 
   StageTiming stage_timing(const BatchSpec& batch, StageId stage) override;
   StageTiming stage_timing(const BatchSpec& batch, const BatchAggregates& agg,
@@ -123,34 +118,20 @@ class ExecutionTimePredictor final : public ExecutionBackend {
   OpTimeBreakdown stage_breakdown(const BatchSpec& batch,
                                   StageId stage) override;
 
+  /// This predictor's memo traffic (hits + misses == stage_timing calls),
+  /// whether its memo is shared or private.
   std::size_t timing_cache_hits() const { return timing_hits_; }
   std::size_t timing_cache_misses() const { return timing_misses_; }
 
  private:
-  /// Everything decompose_stage() reads from a batch in equivalent-prefill
-  /// mode (keep in sync with src/execution/stage_workload.cpp). The KV sum
-  /// is stored pre-bucketed (see decode_kv_rounding).
-  struct BatchSignature {
-    std::int32_t stage = 0;
-    std::int32_t decodes = 0;
-    std::int32_t sampled = 0;
-    TokenCount q_tokens = 0;
-    TokenCount prefill_eq = 0;
-    TokenCount decode_kv_bucket = 0;
-
-    bool operator==(const BatchSignature&) const = default;
-  };
-  struct SignatureHash {
-    std::size_t operator()(const BatchSignature& s) const;
-  };
-
   StageTiming compute_stage_timing(const BatchSpec& batch, StageId stage);
 
   const RuntimeEstimator* estimator_;
   OpShapes shapes_;
   ParallelConfig parallel_;
   CpuOverheadModel cpu_;
-  std::unordered_map<BatchSignature, StageTiming, SignatureHash> timing_memo_;
+  std::unique_ptr<StageTimingMemo> own_memo_;  ///< set when none is shared
+  StageTimingMemo* memo_;
   std::vector<OpInvocation> op_scratch_;  ///< miss-path decomposition buffer
   std::size_t timing_hits_ = 0;
   std::size_t timing_misses_ = 0;

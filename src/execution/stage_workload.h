@@ -36,8 +36,8 @@ enum class AttentionMode {
 /// In kEquivalentPrefill mode the output is a function of the batch's
 /// aggregates only (total q tokens, prefill-equivalent length, decode
 /// count, decode-KV total, tokens sampled) — ExecutionTimePredictor's
-/// stage-timing memo keys on exactly these; extend its BatchSignature if a
-/// new per-batch input is added here.
+/// stage-timing memo keys on exactly these; extend StageTimingMemo::Key if
+/// a new per-batch input is added here.
 std::vector<OpInvocation> decompose_stage(const OpShapes& shapes,
                                           const ParallelConfig& parallel,
                                           const BatchSpec& batch,

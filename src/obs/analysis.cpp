@@ -236,6 +236,16 @@ AnalysisReport analyze_trace(const std::vector<TraceRecord>& records,
   report.options = options;
   report.num_records = records.size();
   if (records.empty()) return report;
+  // Every span below is cut at record times, assuming emission order. An
+  // imported stream that breaks it (a hand-edited or damaged sidecar)
+  // would invert the spans, so it is refused here.
+  for (std::size_t i = 1; i < records.size(); ++i)
+    VIDUR_CHECK_MSG(records[i].time >= records[i - 1].time,
+                    "trace record " << i + 1 << " (time " << records[i].time
+                                    << ") is earlier than record " << i
+                                    << " (time " << records[i - 1].time
+                                    << "); analysis needs records in "
+                                       "emission (time) order");
 
   const Seconds span_begin = records.front().time;
   const Seconds span_end = records.back().time;

@@ -1,6 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "cluster/replica_state.h"
@@ -372,14 +374,28 @@ std::vector<TraceRecord> trace_records_from_json(const JsonValue& doc) {
         kind >= 0 && kind <= static_cast<std::int64_t>(
                                  TraceEventKind::kRequestShed),
         "trace record " << i << " has unknown kind " << kind);
+    // Range-check before narrowing: a wrapped detail or replica, or a
+    // negative time, would load as a different, plausible trace.
+    const std::int64_t detail = f[1].as_int();
+    VIDUR_CHECK_MSG(detail >= 0 && detail <= 255,
+                    "trace record " << i << " has detail " << detail
+                                    << " outside [0, 255]");
+    const std::int64_t replica = f[2].as_int();
+    VIDUR_CHECK_MSG(replica >= -1 && replica <= INT32_MAX,
+                    "trace record " << i << " has replica " << replica
+                                    << " outside [-1, 2^31-1]");
+    const double time = f[6].as_double();
+    VIDUR_CHECK_MSG(std::isfinite(time) && time >= 0,
+                    "trace record " << i << " has time " << time
+                                    << "; times must be finite and >= 0");
     TraceRecord r;
     r.kind = static_cast<TraceEventKind>(kind);
-    r.detail = static_cast<std::uint8_t>(f[1].as_int());
-    r.replica = static_cast<std::int32_t>(f[2].as_int());
+    r.detail = static_cast<std::uint8_t>(detail);
+    r.replica = static_cast<std::int32_t>(replica);
     r.id = f[3].as_int();
     r.a = f[4].as_int();
     r.b = f[5].as_int();
-    r.time = f[6].as_double();
+    r.time = time;
     out.push_back(r);
   }
   return out;

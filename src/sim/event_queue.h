@@ -8,6 +8,16 @@
 // scale-up chains, tests): those store their std::function in a side slab
 // and the heap node carries only the slot index, so even the escape hatch
 // never moves a std::function through the heap.
+//
+// Arrivals skip the heap. A simulation knows every arrival before it
+// starts, so it hands them over once as a stream sorted by time
+// (set_arrivals) and the queue pops whichever comes first, the stream head
+// or the heap top. The stream reserves the sequence numbers the same
+// arrivals would have taken had they been pushed one by one at that point,
+// so the (time, seq) order of every event is unchanged by construction:
+// events scheduled earlier (ticks at t=0) still run before an arrival at
+// the same time, events scheduled later still run after it. The heap then
+// holds only in-flight work instead of every future arrival.
 #pragma once
 
 #include <algorithm>
@@ -89,8 +99,34 @@ class EventQueue {
     tick_handler_ = std::move(handler);
   }
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  /// One entry of the arrival stream: dispatched as a kArrival SimEvent.
+  struct Arrival {
+    Seconds time;
+    RequestState* request;
+  };
+
+  /// Schedule every entry of `stream` (sorted by time, none in the past) as
+  /// a kArrival event, exactly as schedule_event() in stream order would at
+  /// this point: the stream takes the next stream.size() sequence numbers.
+  /// At most one stream is pending at a time.
+  void set_arrivals(std::vector<Arrival> stream) {
+    VIDUR_CHECK_MSG(stream_pos_ == stream_.size(),
+                    "an arrival stream is already pending");
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      VIDUR_CHECK_MSG(stream[i].time >= now_, "event scheduled in the past");
+      VIDUR_CHECK_MSG(i == 0 || stream[i - 1].time <= stream[i].time,
+                      "arrival stream is not sorted by time");
+    }
+    stream_ = std::move(stream);
+    stream_pos_ = 0;
+    stream_seq_ = next_seq_;
+    next_seq_ += stream_.size();
+  }
+
+  bool empty() const { return heap_.empty() && stream_pos_ == stream_.size(); }
+  std::size_t size() const {
+    return heap_.size() + (stream_.size() - stream_pos_);
+  }
   Seconds now() const { return now_; }
   /// Events executed so far (the denominator of events/s benchmarks).
   std::uint64_t num_processed() const { return num_processed_; }
@@ -99,7 +135,20 @@ class EventQueue {
   /// events run internally; every other kind is passed to `dispatch`.
   template <class Dispatch>
   void run_next(Dispatch&& dispatch) {
-    VIDUR_CHECK_MSG(!heap_.empty(), "run_next() on an empty queue");
+    VIDUR_CHECK_MSG(!empty(), "run_next() on an empty queue");
+    if (stream_first()) {
+      SimEvent ev;
+      ev.kind = EventKind::kArrival;
+      ev.request = stream_[stream_pos_].request;
+      now_ = stream_[stream_pos_].time;
+      ++num_processed_;
+      if (++stream_pos_ == stream_.size()) {
+        stream_ = {};  // drained: give the memory back before finalize
+        stream_pos_ = 0;
+      }
+      dispatch(ev);
+      return;
+    }
     const Node top = heap_.front();
     pop_min();
     now_ = top.time;
@@ -136,8 +185,8 @@ class EventQueue {
 
   /// Time of the earliest pending event.
   Seconds next_time() const {
-    VIDUR_CHECK(!heap_.empty());
-    return heap_.front().time;
+    VIDUR_CHECK(!empty());
+    return stream_first() ? stream_[stream_pos_].time : heap_.front().time;
   }
 
  private:
@@ -152,6 +201,19 @@ class EventQueue {
   static bool before(const Node& a, const Node& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
+  }
+
+  /// Whether the stream head precedes the heap top in (time, seq) order.
+  /// No heap event holds a sequence number inside the stream's reserved
+  /// range, so at equal times only which side of it the top lies on
+  /// matters.
+  bool stream_first() const {
+    if (stream_pos_ == stream_.size()) return false;
+    if (heap_.empty()) return true;
+    const Seconds t = stream_[stream_pos_].time;
+    const Node& top = heap_.front();
+    if (t != top.time) return t < top.time;
+    return top.seq > stream_seq_;
   }
 
   void push(Seconds time, const SimEvent& ev) {
@@ -199,6 +261,9 @@ class EventQueue {
   }
 
   std::vector<Node> heap_;
+  std::vector<Arrival> stream_;  ///< sorted; [stream_pos_, end) pending
+  std::size_t stream_pos_ = 0;
+  std::uint64_t stream_seq_ = 0;  ///< first sequence number the stream took
   std::vector<std::function<void()>> slab_;  ///< pending callback actions
   std::vector<std::int64_t> free_slots_;
   std::function<void()> tick_handler_;

@@ -555,6 +555,18 @@ SimulationMetrics Simulator::run() {
   preroute_ = config_.global_scheduler == GlobalSchedulerKind::kRoundRobin &&
               cluster_ == nullptr && rolling_ == nullptr && !disaggregated_ &&
               !config_.collect_operator_metrics && num_slots_ > 0;
+  // Every arrival, in the order the legacy queue popped them when they
+  // were pushed in trace order: (arrival_time, trace position).
+  std::vector<EventQueue::Arrival> arrivals;
+  arrivals.reserve(states_.size());
+  for (RequestState& state : states_)
+    arrivals.push_back({state.request.arrival_time, &state});
+  const auto by_time = [](const EventQueue::Arrival& a,
+                          const EventQueue::Arrival& b) {
+    return a.time < b.time;
+  };
+  if (!std::is_sorted(arrivals.begin(), arrivals.end(), by_time))
+    std::stable_sort(arrivals.begin(), arrivals.end(), by_time);
   if (preroute_) {
     shards_.resize(static_cast<std::size_t>(num_slots_));
     shard_batch_seq_.resize(static_cast<std::size_t>(num_slots_));
@@ -567,38 +579,29 @@ SimulationMetrics Simulator::run() {
         replicas_[static_cast<std::size_t>(r)].scheduler->set_trace(
             &shard.staging);
     }
-    // Arrivals are routed in the exact order the legacy queue would pop
-    // them — (arrival_time, trace position) — so the round-robin counter
-    // assigns every request the same target it always did.
-    std::vector<std::size_t> order(states_.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return states_[a].request.arrival_time <
-                              states_[b].request.arrival_time;
-                     });
+    // Routed in pop order, so the round-robin counter assigns every
+    // request the same target it always did, and each shard's stream comes
+    // out sorted. Round-robin reads no load, and before the run every
+    // replica's is 0: one snapshot serves every arrival.
+    std::vector<std::vector<EventQueue::Arrival>> streams(shards_.size());
+    for (auto& stream : streams)  // exact for round-robin's even split
+      stream.reserve(arrivals.size() / streams.size() + 1);
+    const std::vector<int>& outstanding = outstanding_counts(num_slots_);
     static const std::vector<bool> kEveryReplica;  // empty mask: all routable
-    for (const std::size_t i : order) {
-      RequestState& state = states_[i];
-      const ReplicaId target = global_.route(
-          &state, outstanding_counts(num_slots_), kEveryReplica);
+    for (const EventQueue::Arrival& arrival : arrivals) {
+      const ReplicaId target =
+          global_.route(arrival.request, outstanding, kEveryReplica);
       VIDUR_CHECK(target >= 0);
-      SimEvent ev;
-      ev.kind = EventKind::kArrival;
-      ev.request = &state;
-      shards_[static_cast<std::size_t>(target)].events.schedule_event(
-          state.request.arrival_time, ev);
+      streams[static_cast<std::size_t>(target)].push_back(arrival);
     }
+    arrivals = {};
+    for (std::size_t r = 0; r < shards_.size(); ++r)
+      shards_[r].events.set_arrivals(std::move(streams[r]));
     if (config_.threads > 1 && num_slots_ > 1)
       team_ = std::make_unique<SpinTeam>(static_cast<std::size_t>(
           std::min(config_.threads, num_slots_)));
   } else {
-    for (RequestState& state : states_) {
-      SimEvent ev;
-      ev.kind = EventKind::kArrival;
-      ev.request = &state;
-      events_.schedule_event(state.request.arrival_time, ev);
-    }
+    events_.set_arrivals(std::move(arrivals));
   }
 
   // One conservative round per central timestamp: every shard first

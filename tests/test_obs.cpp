@@ -12,7 +12,9 @@
 #include "api/compare.h"
 #include "api/run.h"
 #include "common/check.h"
+#include "common/random.h"
 #include "metrics/metrics.h"
+#include "obs/analysis.h"
 #include "obs/registry.h"
 #include "obs/rolling.h"
 #include "obs/trace.h"
@@ -588,6 +590,148 @@ TEST(TraceSidecar, SchemaMismatchIsRejected) {
   bad.set("schema", static_cast<std::int64_t>(1));
   doc.set("vidur", std::move(bad));
   EXPECT_THROW(validate_chrome_trace(doc), Error);
+}
+
+/// A one-record sidecar whose record has `field` (0-based) replaced.
+JsonValue sidecar_with(std::size_t field, JsonValue value) {
+  TraceRecord record;
+  record.kind = TraceEventKind::kArrival;
+  record.time = 1.0;
+  const JsonValue doc = trace_records_json({record});
+  JsonValue row = doc.at("records").items().front();
+  JsonValue patched = JsonValue::array();
+  for (std::size_t i = 0; i < row.items().size(); ++i)
+    patched.push(i == field ? value : row.items()[i]);
+  JsonValue rows = JsonValue::array();
+  rows.push(std::move(patched));
+  JsonValue out = doc;
+  out.set("records", std::move(rows));
+  return out;
+}
+
+void expect_rejected(const JsonValue& sidecar, const std::string& field) {
+  try {
+    trace_records_from_json(sidecar);
+    ADD_FAILURE() << "sidecar with a bad " << field << " loaded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace record 1 has " + field), std::string::npos)
+        << what;
+  }
+}
+
+TEST(TraceSidecar, DetailOutsideEightBitsIsRejected) {
+  expect_rejected(sidecar_with(1, JsonValue(std::int64_t{256})), "detail");
+  expect_rejected(sidecar_with(1, JsonValue(std::int64_t{-1})), "detail");
+  EXPECT_EQ(trace_records_from_json(
+                sidecar_with(1, JsonValue(std::int64_t{255})))[0]
+                .detail,
+            255);
+}
+
+TEST(TraceSidecar, ReplicaOutside32BitsIsRejected) {
+  expect_rejected(sidecar_with(2, JsonValue(std::int64_t{2147483648})),
+                  "replica");
+  expect_rejected(sidecar_with(2, JsonValue(std::int64_t{-2})), "replica");
+  EXPECT_EQ(trace_records_from_json(
+                sidecar_with(2, JsonValue(std::int64_t{2147483647})))[0]
+                .replica,
+            2147483647);
+}
+
+TEST(TraceSidecar, NegativeTimeIsRejected) {
+  expect_rejected(sidecar_with(6, JsonValue(-5.0)), "time");
+  EXPECT_EQ(trace_records_from_json(sidecar_with(6, JsonValue(0.0)))[0].time,
+            0.0);
+}
+
+TEST(TraceSidecar, AnalysisRefusesRecordsOutOfTimeOrder) {
+  // A damaged sidecar can load with its records out of order; analysis
+  // cuts spans at record times and must refuse it, naming the record.
+  TraceRecord arrival;
+  arrival.kind = TraceEventKind::kArrival;
+  arrival.time = 2.0;
+  TraceRecord scheduled;
+  scheduled.kind = TraceEventKind::kScheduled;
+  scheduled.replica = 0;
+  scheduled.a = -1;
+  scheduled.time = 1.0;
+  try {
+    analyze_trace({arrival, scheduled});
+    ADD_FAILURE() << "out-of-order records were analyzed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace record 2 (time 1)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceSidecar, MutatedSidecarFailsOnlyWithVidurErrors) {
+  // Seeded byte flips, truncations, short deletions, hostile token
+  // insertions and number swaps in the sidecar of a small traced run. Each
+  // mutant must import and analyze, or throw vidur::Error; every record
+  // that imports must hold the field ranges the engine relies on.
+  VidurSession& session = shared_session();
+  TraceRecorder recorder;
+  SimObs obs;
+  obs.trace = &recorder;
+  session.simulate(autoscaled_config(), bursty_trace(12), {}, obs);
+  const std::string text = trace_records_json(recorder.records()).dump(0);
+  std::vector<std::size_t> numbers;  // offsets of array-element numbers
+  for (std::size_t i = 2; i < text.size(); ++i)
+    if ((text[i - 2] == '[' || text[i - 2] == ',') && text[i - 1] == '\n' &&
+        (text[i] == '-' || (text[i] >= '0' && text[i] <= '9')))
+      numbers.push_back(i);
+  ASSERT_GT(numbers.size(), 100u);
+  const std::vector<std::string> tokens = {
+      "-1", "-2", "-5", "256", "255", "-0", "0.5", "1e400", "-1e400",
+      "2147483647", "2147483648", "-2147483649", "9223372036854775807",
+      "9223372036854775808", "nan", "[", "]", ",", "{}"};
+  Rng rng(20261018);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  int loaded = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string mutant = text;
+    const std::size_t pos = below(mutant.size());
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << below(8)));
+        break;
+      case 1:
+        mutant.resize(pos);
+        break;
+      case 2:
+        mutant.erase(pos, 1 + below(8));
+        break;
+      case 3:
+        mutant.insert(pos, tokens[below(tokens.size())]);
+        break;
+      default: {
+        const std::size_t at = numbers[below(numbers.size())];
+        const std::size_t end = mutant.find_first_of(",\n]", at);
+        mutant.replace(at, end - at, tokens[below(tokens.size())]);
+      }
+    }
+    try {
+      const std::vector<TraceRecord> records =
+          trace_records_from_json(JsonValue::parse(mutant));
+      ++loaded;
+      for (const TraceRecord& r : records) {
+        EXPECT_GE(r.replica, -1) << mutant;
+        EXPECT_TRUE(std::isfinite(r.time) && r.time >= 0) << mutant;
+      }
+      const AnalysisReport report = analyze_trace(records);
+      EXPECT_FALSE(analysis_to_string(report).empty());
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what() << " escaped for\n" << mutant;
+    }
+  }
+  // Enough mutants must import for the checks to mean something.
+  EXPECT_GT(loaded, 500);
 }
 
 TEST(TraceSidecar, ScheduledRecordsCarryQueueEntryAndResumeMarkers) {

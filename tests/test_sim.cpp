@@ -145,6 +145,127 @@ TEST(EventQueue, MatchesReferenceOrderAcross10kRandomSchedules) {
   EXPECT_GE(executed, 4000);
 }
 
+TEST(EventQueue, ArrivalStreamPopsLikePushedArrivals) {
+  // Seeded schedules run on two queues: one receives every arrival by
+  // schedule_event() in trace order, the other the same arrivals as one
+  // sorted stream. Ticks, callbacks and typed events go to both before the
+  // stream (many at t=0) and during the run (some at exactly an arrival's
+  // time). Pop order, now() and num_processed() must match step for step.
+  struct Popped {
+    int kind;  // 0 callback, 1 tick, 2 typed, 3 arrival
+    std::int64_t id;
+    Seconds now;
+    std::uint64_t processed;
+    bool operator==(const Popped&) const = default;
+  };
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue pushed, streamed;
+    std::vector<Popped> log[2];
+    EventQueue* queues[2] = {&pushed, &streamed};
+    for (int q = 0; q < 2; ++q)
+      queues[q]->set_tick_handler([&log, q, queues] {
+        log[q].push_back({1, -1, queues[q]->now(), 0});
+      });
+    const auto quantized = [&rng](Seconds base) {
+      return base + std::floor(rng.uniform(0.0, 8.0)) * 0.5;
+    };
+    std::int64_t next_id = 0;
+    std::vector<Seconds> arrival_times;
+    // The same scheduling call on both queues at time `t`.
+    const auto schedule_both = [&](Seconds t) {
+      const std::int64_t id = next_id++;
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          for (int q = 0; q < 2; ++q)
+            queues[q]->schedule(t, [&log, q, queues, id] {
+              log[q].push_back({0, id, queues[q]->now(), 0});
+            });
+          break;
+        case 1:
+          for (EventQueue* queue : queues) queue->schedule_tick(t);
+          break;
+        default: {
+          SimEvent ev;
+          ev.kind = EventKind::kStageEnd;
+          ev.handle = id;
+          for (EventQueue* queue : queues) queue->schedule_event(t, ev);
+        }
+      }
+    };
+    const int before = static_cast<int>(rng.uniform_int(0, 6));
+    for (int i = 0; i < before; ++i)
+      schedule_both(rng.bernoulli(0.5) ? 0.0 : quantized(0.0));
+
+    // Trace order is unsorted with many ties; an empty stream is covered.
+    const int n = static_cast<int>(rng.uniform_int(0, 40));
+    std::vector<RequestState> states(static_cast<std::size_t>(n));
+    std::vector<EventQueue::Arrival> stream;
+    for (RequestState& state : states) {
+      const Seconds t = rng.bernoulli(0.2) ? 0.0 : quantized(0.0);
+      arrival_times.push_back(t);
+      stream.push_back({t, &state});
+      SimEvent ev;
+      ev.kind = EventKind::kArrival;
+      ev.request = &state;
+      pushed.schedule_event(t, ev);
+    }
+    std::stable_sort(
+        stream.begin(), stream.end(),
+        [](const auto& a, const auto& b) { return a.time < b.time; });
+    streamed.set_arrivals(std::move(stream));
+
+    for (int step = 0; !pushed.empty() || !streamed.empty(); ++step) {
+      ASSERT_EQ(pushed.size(), streamed.size());
+      ASSERT_EQ(pushed.empty(), streamed.empty());
+      ASSERT_EQ(pushed.next_time(), streamed.next_time());
+      if (step < 60 && rng.bernoulli(0.4)) {
+        // During the run: at now, at a pending arrival's time, or later.
+        Seconds t = quantized(pushed.now());
+        const auto pick = static_cast<std::size_t>(
+            rng.uniform_int(0, std::max(n, 1) - 1));
+        if (n > 0 && rng.bernoulli(0.5) &&
+            arrival_times[pick] >= pushed.now())
+          t = arrival_times[pick];
+        schedule_both(t);
+        continue;
+      }
+      for (int q = 0; q < 2; ++q) {
+        queues[q]->run_next([&log, q, queues, &states](const SimEvent& ev) {
+          const bool arrival = ev.kind == EventKind::kArrival;
+          log[q].push_back({arrival ? 3 : 2,
+                            arrival ? ev.request - states.data() : ev.handle,
+                            queues[q]->now(), 0});
+        });
+        log[q].back().processed = queues[q]->num_processed();
+      }
+      ASSERT_EQ(log[0], log[1]);
+    }
+    EXPECT_EQ(pushed.num_processed(), streamed.num_processed());
+    EXPECT_EQ(pushed.now(), streamed.now());
+  }
+}
+
+TEST(EventQueue, ArrivalStreamKeepsThePastTimeCheck) {
+  EventQueue q;
+  RequestState a, b;
+  q.schedule(5.0, [] {});
+  q.run_next();
+  EXPECT_THROW(q.set_arrivals({{4.0, &a}}), Error);  // in the past
+  EXPECT_THROW(q.set_arrivals({{7.0, &a}, {6.0, &b}}), Error);  // unsorted
+  EXPECT_TRUE(q.empty());
+  q.set_arrivals({{5.0, &a}, {6.0, &b}});
+  EXPECT_THROW(q.set_arrivals({{9.0, &a}}), Error);  // one stream at a time
+  EXPECT_EQ(q.size(), 2u);
+  std::vector<RequestState*> order;
+  while (!q.empty())
+    q.run_next([&](const SimEvent& ev) { order.push_back(ev.request); });
+  EXPECT_EQ(order, (std::vector<RequestState*>{&a, &b}));
+  EXPECT_EQ(q.num_processed(), 3u);
+  EXPECT_DOUBLE_EQ(q.now(), 6.0);
+}
+
 TEST(EventQueue, TickHandlerRunsOnScheduledTicks) {
   EventQueue q;
   int ticks = 0;
