@@ -27,13 +27,26 @@ namespace vidur::bench {
 
 namespace {
 
+/// The CPU's model name from /proc/cpuinfo, or "unknown" off Linux.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos || colon + 2 > line.size()) break;
+    return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
 /// Provenance block stamped into every BENCH_*.json: enough to tell two
-/// artifacts apart (which commit, which build flavor, how parallel a
-/// machine, how scaled an effort) when diffing trajectories across PRs.
+/// artifacts apart (which commit, which build flavor, which machine, how
+/// scaled an effort) when diffing trajectories across PRs.
 Json bench_meta() {
   Json meta = Json::object();
   meta.set("git_sha", std::string(VIDUR_GIT_SHA));
   meta.set("build_type", std::string(VIDUR_BUILD_TYPE));
+  meta.set("cpu_model", cpu_model());
   // hardware_threads() (not raw hardware_concurrency()) so an unknowable
   // core count stamps 1, never a nonsense 0.
   meta.set("hardware_threads", static_cast<std::int64_t>(hardware_threads()));

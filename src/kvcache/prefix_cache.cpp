@@ -111,13 +111,17 @@ std::uint64_t PrefixCache::block_content(const Request& request,
   return 0;
 }
 
-long PrefixCache::match_blocks(const Request& request,
-                               std::vector<Slot>* slots) const {
+long PrefixCache::max_match_blocks(const Request& request) const {
   // At least one prompt token must stay cold: the batch that "computes"
   // the request needs a non-empty prefill to emit the first token from.
-  const long max_blocks = request.prefill_tokens <= 0
-                              ? 0
-                              : (request.prefill_tokens - 1) / block_size_;
+  return request.prefill_tokens <= 0
+             ? 0
+             : (request.prefill_tokens - 1) / block_size_;
+}
+
+template <typename Visit>
+long PrefixCache::walk_chain(const Request& request, long max_blocks,
+                             Visit&& visit) const {
   std::uint64_t chain = kChainSeed;
   long matched = 0;
   for (long d = 0; d < max_blocks; ++d) {
@@ -128,22 +132,32 @@ long PrefixCache::match_blocks(const Request& request,
     const Slot slot = index_.find(chain);
     if (slot == kNoSlot) break;
     ++matched;
-    if (slots != nullptr) slots->push_back(slot);
+    visit(slot);
   }
   return matched;
 }
 
 TokenCount PrefixCache::probe(const Request& request) const {
-  return match_blocks(request, nullptr) * block_size_;
+  return walk_chain(request, max_match_blocks(request), [](Slot) {}) *
+         block_size_;
 }
 
-TokenCount PrefixCache::attach(const Request& request) {
-  std::vector<Slot> matched;
-  const TokenCount tokens = match_blocks(request, &matched) * block_size_;
+TokenCount PrefixCache::attach(const Request& request, bool& pinned) {
+  VIDUR_CHECK_MSG(!pinned, "attach for request " << request.id
+                                                 << " while it holds pins");
+  // Pinning during the walk is safe: it changes refs and the LRU list,
+  // never the index the walk reads.
+  const long matched =
+      walk_chain(request, max_match_blocks(request), [this](Slot s) {
+        Block& block = slab_[s];
+        if (block.refs == 0 && block.children == 0) unlink(s);
+        ++block.refs;
+      });
+  const TokenCount tokens = matched * block_size_;
   PrefixCacheStats& tenant = tenant_stats_[request.tenant];
   ++stats_.lookups;
   ++tenant.lookups;
-  if (matched.empty()) {
+  if (matched == 0) {
     ++stats_.misses;
     ++tenant.misses;
     return 0;
@@ -152,25 +166,24 @@ TokenCount PrefixCache::attach(const Request& request) {
   ++tenant.hits;
   stats_.tokens_saved += tokens;
   tenant.tokens_saved += tokens;
-
-  for (const Slot s : matched) {
-    Block& block = slab_[s];
-    if (block.refs == 0 && block.children == 0) unlink(s);
-    ++block.refs;
-  }
-  pins_[request.id] = std::move(matched);
+  pinned = true;
   return tokens;
 }
 
-void PrefixCache::unpin(RequestId request) {
-  auto it = pins_.find(request);
-  if (it == pins_.end()) return;
-  for (const Slot s : it->second) {
+void PrefixCache::unpin(const Request& request, TokenCount tokens,
+                        bool& pinned) {
+  if (!pinned) return;
+  pinned = false;
+  const long blocks = tokens / block_size_;
+  const long walked = walk_chain(request, blocks, [this](Slot s) {
     Block& block = slab_[s];
     --block.refs;
     if (block.refs == 0 && block.children == 0) make_evictable(s);
-  }
-  pins_.erase(it);
+  });
+  VIDUR_CHECK_MSG(walked == blocks, "unpin of request "
+                                        << request.id << " found " << walked
+                                        << " of its " << blocks
+                                        << " pinned blocks");
 }
 
 long PrefixCache::retain(const Request& request, TokenCount kv_end,
@@ -248,7 +261,6 @@ long PrefixCache::retain(const Request& request, TokenCount kv_end,
     ++inserted;
     parent_chain = child;
   }
-  if (inserted > 0) bm.transfer_to_cache(request.id, inserted);
   return inserted;
 }
 

@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -57,22 +56,26 @@ class PrefixCache {
   TokenCount probe(const Request& request) const;
 
   /// Like probe, but records the lookup (hit/miss, tokens saved, tenant
-  /// slice) and pins every matched block until unpin(request.id). The
+  /// slice) and, on a hit, pins every matched block and sets `pinned`
+  /// (which must be clear). The blocks stay pinned until unpin. The
   /// scheduler performs at most one attach per (re-)admission. Returns the
   /// matched token count.
-  TokenCount attach(const Request& request);
+  TokenCount attach(const Request& request, bool& pinned);
 
-  /// Drop `request`'s pins. Blocks whose last pin leaves become LRU
-  /// eviction candidates (leaves only; interior chain blocks stay until
-  /// their children go). No-op for unknown ids.
-  void unpin(RequestId request);
+  /// Drop the pins attach took for `request`, whose match was `tokens`
+  /// long, and clear `pinned`. Re-walks the chain: a pinned block is never
+  /// evicted, so the walk meets exactly the blocks attach pinned. Blocks
+  /// whose last pin leaves become LRU eviction candidates (leaves only;
+  /// interior chain blocks stay until their children go). No-op when
+  /// `pinned` is clear, so a second unpin changes nothing.
+  void unpin(const Request& request, TokenCount tokens, bool& pinned);
 
   /// Donate `request`'s shareable KV blocks in [kv_cached, kv_end) to the
   /// cache. Whole blocks only; already-resident blocks are skipped. Evicts
-  /// LRU leaves when over capacity, but never blocks donated by this call.
-  /// Ownership of the inserted blocks moves from the request's allocation
-  /// to the cache pool inside `bm` (used_blocks is unchanged). Returns the
-  /// number of blocks inserted.
+  /// LRU leaves when over capacity (freeing them in `bm`), but never blocks
+  /// donated by this call. Returns the number of blocks inserted; the
+  /// caller moves that many of the request's blocks into the cache pool
+  /// (BlockManager::transfer_to_cache).
   long retain(const Request& request, TokenCount kv_end, TokenCount kv_cached,
               BlockManager& bm);
 
@@ -151,9 +154,13 @@ class PrefixCache {
   /// Content identity of `request`'s block `depth`, or 0 if that block is
   /// not shareable (past the shared prefix of a sessionless request).
   std::uint64_t block_content(const Request& request, int depth) const;
-  /// Walks the chain; returns the matched block count and appends each
-  /// matched block's slot to `slots` when non-null.
-  long match_blocks(const Request& request, std::vector<Slot>* slots) const;
+  /// Walks the chain of `request`'s first `max_blocks` blocks while they
+  /// are resident, calling `visit(slot)` on each. Returns how many matched.
+  template <typename Visit>
+  long walk_chain(const Request& request, long max_blocks,
+                  Visit&& visit) const;
+  /// Blocks a lookup may match: all but the prompt's last token.
+  long max_match_blocks(const Request& request) const;
   /// Appends `slot` at the LRU tail with the next sequence number.
   void make_evictable(Slot slot);
   /// Takes `slot` off the LRU list; no-op when it is not on it.
@@ -172,9 +179,6 @@ class PrefixCache {
   Slot lru_head_ = kNoSlot;
   Slot lru_tail_ = kNoSlot;
   long evictable_ = 0;
-  /// Slots each request pinned at attach. A pinned block is never
-  /// evicted, so its slot stays valid until unpin.
-  std::unordered_map<RequestId, std::vector<Slot>> pins_;
   PrefixCacheStats stats_;
   std::map<TenantId, PrefixCacheStats> tenant_stats_;
 };

@@ -184,9 +184,25 @@ QueueWaitCause queue_wait_cause_from_name(const std::string& name) {
   throw Error("analysis: unknown queue-wait cause '" + name + "'");
 }
 
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+
+/// Integer member `key` of `j` as T, range-checked before it is narrowed:
+/// a value outside [lo, INT_MAX] is an error naming the key, never a
+/// silent wrap. The default floor is a count's; ids and tags pass kIntMin.
+template <typename T = int>
+T int_at(const JsonValue& j, const char* key, std::int64_t lo = 0) {
+  const std::int64_t raw = j.at(key).as_int();
+  constexpr std::int64_t hi = std::numeric_limits<int>::max();
+  VIDUR_CHECK_MSG(raw >= lo && raw <= hi,
+                  "analysis report: '" << key << "' value " << raw
+                                       << " is outside [" << lo << ", "
+                                       << hi << "]");
+  return static_cast<T>(raw);
+}
+
 Summary summary_from_json(const JsonValue& j) {
   Summary s;
-  s.count = static_cast<std::size_t>(j.at("count").as_int());
+  s.count = int_at<std::size_t>(j, "count");
   s.mean = j.at("mean").as_double();
   s.stddev = j.at("stddev").as_double();
   s.min = j.at("min").as_double();
@@ -949,12 +965,11 @@ AnalysisOptions analysis_options_from_json(const JsonValue& doc) {
     o.ttft_target = v->as_double();
   if (const JsonValue* v = doc.find("tbt_target"))
     o.tbt_target = v->as_double();
-  if (const JsonValue* v = doc.find("top_k"))
-    o.top_k = static_cast<int>(v->as_int());
+  if (doc.find("top_k") != nullptr) o.top_k = int_at(doc, "top_k", kIntMin);
   if (const JsonValue* v = doc.find("tenants")) {
     for (const JsonValue& tj : v->items()) {
       TenantSloOverride t;
-      t.tenant = static_cast<int>(tj.at("tenant").as_int());
+      t.tenant = int_at(tj, "tenant", kIntMin);
       t.name = tj.at("name").as_string();
       t.ttft_target = tj.at("ttft_target").as_double();
       t.tbt_target = tj.at("tbt_target").as_double();
@@ -1169,10 +1184,10 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
     r.options = analysis_options_from_json(*ctx);
 
   const JsonValue& req = doc.at("requests");
-  r.num_records = static_cast<std::size_t>(req.at("records").as_int());
-  r.num_completed = static_cast<int>(req.at("completed").as_int());
-  r.num_incomplete = static_cast<int>(req.at("incomplete").as_int());
-  r.num_truncated = static_cast<int>(req.at("truncated").as_int());
+  r.num_records = int_at<std::size_t>(req, "records");
+  r.num_completed = int_at(req, "completed");
+  r.num_incomplete = int_at(req, "incomplete");
+  r.num_truncated = int_at(req, "truncated");
 
   const JsonValue& cons = doc.at("conservation");
   r.max_conservation_error = cons.at("max_error").as_double();
@@ -1192,12 +1207,11 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
   for (const JsonValue& w : doc.at("waterfalls").items()) {
     RequestWaterfall wf;
     wf.id = w.at("id").as_int();
-    if (const JsonValue* v = w.find("tenant"))
-      wf.tenant = static_cast<int>(v->as_int());
-    wf.last_replica = static_cast<ReplicaId>(w.at("replica").as_int());
+    if (w.find("tenant") != nullptr) wf.tenant = int_at(w, "tenant", kIntMin);
+    wf.last_replica = int_at(w, "replica", kIntMin);
     wf.first_replica = wf.last_replica;
-    if (const JsonValue* v = w.find("first_replica"))
-      wf.first_replica = static_cast<ReplicaId>(v->as_int());
+    if (w.find("first_replica") != nullptr)
+      wf.first_replica = int_at(w, "first_replica", kIntMin);
     wf.arrival = w.at("arrival").as_double();
     wf.e2e = w.at("e2e").as_double();
     wf.completed = wf.arrival + wf.e2e;
@@ -1206,12 +1220,11 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
     wf.decode_tokens = w.at("decode_tokens").as_int();
     if (const JsonValue* v = w.find("cached_tokens"))
       wf.cached_tokens = v->as_int();
-    if (const JsonValue* v = w.find("restarts"))
-      wf.num_restarts = static_cast<int>(v->as_int());
-    if (const JsonValue* v = w.find("retries"))
-      wf.num_retries = static_cast<int>(v->as_int());
-    if (const JsonValue* v = w.find("handoffs"))
-      wf.num_handoffs = static_cast<int>(v->as_int());
+    if (w.find("restarts") != nullptr)
+      wf.num_restarts = int_at(w, "restarts");
+    if (w.find("retries") != nullptr) wf.num_retries = int_at(w, "retries");
+    if (w.find("handoffs") != nullptr)
+      wf.num_handoffs = int_at(w, "handoffs");
     if (const JsonValue* v = w.find("migrated"))
       wf.migrated = v->as_bool();
     wf.phase = phases_from_json(w.at("phases"));
@@ -1234,9 +1247,8 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
                                                             << "'");
     v.metric = metric == "ttft" ? SloMetric::kTtft : SloMetric::kTbt;
     v.id = vj.at("id").as_int();
-    if (const JsonValue* t = vj.find("tenant"))
-      v.tenant = static_cast<int>(t->as_int());
-    v.replica = static_cast<ReplicaId>(vj.at("replica").as_int());
+    if (vj.find("tenant") != nullptr) v.tenant = int_at(vj, "tenant", kIntMin);
+    v.replica = int_at(vj, "replica", kIntMin);
     v.observed = vj.at("observed").as_double();
     v.target = vj.at("target").as_double();
     v.excess = vj.at("excess").as_double();
@@ -1255,7 +1267,7 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
     for (const JsonValue& bj : arr.items()) {
       BlameBucket b;
       b.key = bj.at("key").as_string();
-      b.violations = static_cast<int>(bj.at("violations").as_int());
+      b.violations = int_at(bj, "violations");
       b.excess_seconds = bj.at("excess_seconds").as_double();
       b.top_phase = phase_from_name(bj.at("top_phase").as_string());
       b.blame = phases_from_json(bj.at("blame"));
@@ -1269,7 +1281,7 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
 
   for (const JsonValue& aj : doc.at("replicas").items()) {
     ReplicaAudit a;
-    a.replica = static_cast<ReplicaId>(aj.at("replica").as_int());
+    a.replica = int_at(aj, "replica", kIntMin);
     if (const JsonValue* p = aj.find("pool")) a.pool = p->as_string();
     a.span = aj.at("span").as_double();
     a.busy = aj.at("busy").as_double();
@@ -1279,8 +1291,8 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
       a.warming = v->as_double();
     if (const JsonValue* v = aj.find("draining"))
       a.draining = v->as_double();
-    a.num_batches = static_cast<int>(aj.at("batches").as_int());
-    a.num_gaps = static_cast<int>(aj.at("gaps").as_int());
+    a.num_batches = int_at(aj, "batches");
+    a.num_gaps = int_at(aj, "gaps");
     for (const JsonValue& gj : aj.at("top_gaps").items()) {
       IdleGap g;
       g.start = gj.at("start").as_double();
@@ -1319,20 +1331,16 @@ AnalysisReport analysis_report_from_json(const JsonValue& doc) {
   }
 
   if (const JsonValue* fj = doc.find("faults")) {
-    r.faults.crashes = static_cast<int>(fj->at("crashes").as_int());
-    r.faults.spot_kills = static_cast<int>(fj->at("spot_kills").as_int());
-    r.faults.spot_notices =
-        static_cast<int>(fj->at("spot_notices").as_int());
-    r.faults.degrade_windows =
-        static_cast<int>(fj->at("degrade_windows").as_int());
-    r.faults.retries = static_cast<int>(fj->at("retries").as_int());
-    r.faults.handoffs = static_cast<int>(fj->at("handoffs").as_int());
-    r.faults.lost = static_cast<int>(fj->at("lost").as_int());
-    r.faults.shed = static_cast<int>(fj->at("shed").as_int());
-    r.faults.impacted_completed =
-        static_cast<int>(fj->at("impacted_completed").as_int());
-    r.faults.impacted_violations =
-        static_cast<int>(fj->at("impacted_violations").as_int());
+    r.faults.crashes = int_at(*fj, "crashes");
+    r.faults.spot_kills = int_at(*fj, "spot_kills");
+    r.faults.spot_notices = int_at(*fj, "spot_notices");
+    r.faults.degrade_windows = int_at(*fj, "degrade_windows");
+    r.faults.retries = int_at(*fj, "retries");
+    r.faults.handoffs = int_at(*fj, "handoffs");
+    r.faults.lost = int_at(*fj, "lost");
+    r.faults.shed = int_at(*fj, "shed");
+    r.faults.impacted_completed = int_at(*fj, "impacted_completed");
+    r.faults.impacted_violations = int_at(*fj, "impacted_violations");
     r.faults.impacted_excess_seconds =
         fj->at("impacted_excess_seconds").as_double();
   }

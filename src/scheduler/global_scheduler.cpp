@@ -40,15 +40,14 @@ GlobalScheduler::GlobalScheduler(GlobalSchedulerKind kind, int num_replicas)
 }
 
 ReplicaId GlobalScheduler::route(RequestState* request,
-                                 const std::vector<int>& outstanding,
                                  const std::vector<bool>& routable) {
   VIDUR_CHECK(request != nullptr);
-  VIDUR_CHECK(static_cast<int>(outstanding.size()) == num_replicas_);
   VIDUR_CHECK(routable.empty() ||
               static_cast<int>(routable.size()) == num_replicas_);
   const auto ok = [&](int r) {
     return routable.empty() || routable[static_cast<std::size_t>(r)];
   };
+  const auto load = [&](int r) { return load_probe_ ? load_probe_(r) : 0; };
   switch (kind_) {
     case GlobalSchedulerKind::kRoundRobin: {
       for (int step = 0; step < num_replicas_; ++step) {
@@ -62,11 +61,14 @@ ReplicaId GlobalScheduler::route(RequestState* request,
       // Deterministic: strictly-lower outstanding wins, so the lowest
       // routable replica id takes every tie.
       ReplicaId best = -1;
+      int best_load = 0;
       for (int r = 0; r < num_replicas_; ++r) {
         if (!ok(r)) continue;
-        if (best < 0 || outstanding[static_cast<std::size_t>(r)] <
-                            outstanding[static_cast<std::size_t>(best)])
+        const int l = load(r);
+        if (best < 0 || l < best_load) {
           best = r;
+          best_load = l;
+        }
       }
       if (best < 0) throw Error("global scheduler: no routable replica");
       return best;
@@ -77,16 +79,17 @@ ReplicaId GlobalScheduler::route(RequestState* request,
       // so the scan order fixes every tie deterministically).
       ReplicaId best = -1;
       TokenCount best_match = 0;
+      int best_load = 0;
       for (int r = 0; r < num_replicas_; ++r) {
         if (!ok(r)) continue;
         const TokenCount match =
             cache_probe_ ? cache_probe_(request->request, r) : 0;
+        const int l = load(r);
         if (best < 0 || match > best_match ||
-            (match == best_match &&
-             outstanding[static_cast<std::size_t>(r)] <
-                 outstanding[static_cast<std::size_t>(best)])) {
+            (match == best_match && l < best_load)) {
           best = r;
           best_match = match;
+          best_load = l;
         }
       }
       if (best < 0) throw Error("global scheduler: no routable replica");

@@ -40,13 +40,12 @@ class GlobalScheduler {
 
   /// Route an arriving request. Returns the target replica, or -1 when the
   /// policy defers the decision (request parked in the central queue).
-  /// `outstanding` holds each replica's current outstanding request count.
   /// `routable` optionally masks replicas out of consideration (elastic
   /// clusters: only kActive replicas take new work); empty means every
   /// replica is routable. Binding policies skip non-routable replicas with
   /// deterministic tie-breaking (lowest replica id wins) and throw
   /// vidur::Error when no replica is routable.
-  ReplicaId route(RequestState* request, const std::vector<int>& outstanding,
+  ReplicaId route(RequestState* request,
                   const std::vector<bool>& routable = {});
 
   /// Deferred policy: hand over up to `max_requests` parked requests to a
@@ -66,12 +65,20 @@ class GlobalScheduler {
     cache_probe_ = std::move(probe);
   }
 
+  /// Load probe: a replica's current outstanding request count. Only
+  /// least-outstanding and cache-aware routing call it, once per routable
+  /// replica per routed request. Unset reads every replica as idle.
+  void set_load_probe(std::function<int(ReplicaId)> probe) {
+    load_probe_ = std::move(probe);
+  }
+
  private:
   GlobalSchedulerKind kind_;
   int num_replicas_;
   int next_replica_ = 0;  // round-robin cursor
   std::deque<RequestState*> central_queue_;
   std::function<TokenCount(const Request&, ReplicaId)> cache_probe_;
+  std::function<int(ReplicaId)> load_probe_;
 };
 
 }  // namespace vidur

@@ -60,37 +60,27 @@ long BlockManager::blocks_for_tokens(TokenCount tokens) const {
   return (tokens + block_size_ - 1) / block_size_;
 }
 
-bool BlockManager::grow_to(RequestId request, TokenCount total_tokens) {
+bool BlockManager::grow_to(long& held, TokenCount total_tokens) {
   const long target = blocks_for_tokens(total_tokens);
-  const long current = allocated_to(request);
-  if (target <= current) return true;
-  const long extra = target - current;
+  if (target <= held) return true;
+  const long extra = target - held;
   if (!can_allocate(extra)) return false;
-  allocations_[request] = target;
+  held = target;
   used_blocks_ += extra;
   return true;
 }
 
-void BlockManager::release(RequestId request) {
-  auto it = allocations_.find(request);
-  if (it == allocations_.end()) return;
-  used_blocks_ -= it->second;
-  allocations_.erase(it);
+void BlockManager::release(long& held) {
+  used_blocks_ -= held;
+  held = 0;
 }
 
-long BlockManager::allocated_to(RequestId request) const {
-  auto it = allocations_.find(request);
-  return it == allocations_.end() ? 0 : it->second;
-}
-
-void BlockManager::transfer_to_cache(RequestId request, long blocks) {
-  auto it = allocations_.find(request);
-  VIDUR_CHECK_MSG(it != allocations_.end() && it->second >= blocks,
+void BlockManager::transfer_to_cache(long& held, long blocks) {
+  VIDUR_CHECK_MSG(blocks >= 0 && blocks <= held,
                   "transfer_to_cache of " << blocks
-                                          << " blocks exceeds the request's "
-                                             "allocation");
-  it->second -= blocks;
-  if (it->second == 0) allocations_.erase(it);
+                                          << " blocks exceeds the holder's "
+                                          << held);
+  held -= blocks;
   cached_blocks_ += blocks;
 }
 

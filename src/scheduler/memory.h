@@ -2,8 +2,6 @@
 // replica scheduler's "memory planner" and "memory manager").
 #pragma once
 
-#include <unordered_map>
-
 #include "common/types.h"
 #include "hardware/parallel_config.h"
 #include "hardware/sku.h"
@@ -30,7 +28,9 @@ MemoryPlan plan_memory(const ModelSpec& model, const NodeSpec& node,
                        double memory_utilization = 0.9,
                        ByteCount workspace_bytes = 2LL * 1024 * 1024 * 1024);
 
-/// Paged KV-cache block allocator for one replica (vLLM-style).
+/// Paged KV-cache block allocator for one replica (vLLM-style). It keeps
+/// pool totals only: each holder (a RequestState's kv_blocks) keeps its own
+/// block count, which the calls below take by reference and update.
 class BlockManager {
  public:
   BlockManager(long total_blocks, TokenCount block_size);
@@ -49,24 +49,22 @@ class BlockManager {
 
   bool can_allocate(long blocks) const { return blocks <= free_blocks(); }
 
-  /// Grow `request`'s allocation to cover `total_tokens` KV entries.
+  /// Grow a holder's `held` blocks to cover `total_tokens` KV entries.
   /// Returns false (and changes nothing) if the blocks are unavailable.
-  bool grow_to(RequestId request, TokenCount total_tokens);
+  bool grow_to(long& held, TokenCount total_tokens);
 
-  /// Release all blocks held by `request` (no-op if it holds none).
-  void release(RequestId request);
-
-  long allocated_to(RequestId request) const;
+  /// Release all `held` blocks and zero the count (no-op when it is 0).
+  void release(long& held);
 
   /// Blocks held by the prefix cache rather than any live request. They
   /// count as used (the KV-pressure signal sees retained prefixes) until
   /// the cache evicts them via release_cached.
   long cached_blocks() const { return cached_blocks_; }
 
-  /// Move `blocks` of `request`'s allocation into the cached pool (the
+  /// Move `blocks` of a holder's `held` blocks into the cached pool (the
   /// request completed but its prefix KV stays resident). used_blocks is
-  /// unchanged; the request's allocation shrinks.
-  void transfer_to_cache(RequestId request, long blocks);
+  /// unchanged; `held` shrinks.
+  void transfer_to_cache(long& held, long blocks);
 
   /// Free `blocks` from the cached pool (prefix-cache eviction).
   void release_cached(long blocks);
@@ -76,7 +74,6 @@ class BlockManager {
   TokenCount block_size_;
   long used_blocks_ = 0;
   long cached_blocks_ = 0;
-  std::unordered_map<RequestId, long> allocations_;
 };
 
 }  // namespace vidur

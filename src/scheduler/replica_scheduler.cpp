@@ -38,15 +38,6 @@ void ReplicaScheduler::enqueue(RequestState* request) {
                              << " tokens) exceeds the replica KV pool of "
                              << plan_.max_kv_tokens() << " tokens");
   waiting_.push_back(request);
-  by_id_[request->request.id] = request;
-}
-
-BatchSpec ReplicaScheduler::schedule(Seconds now) {
-  obs_now_ = now;
-  attach_prefix_cache();
-  BatchSpec batch;
-  fill_batch(batch, now);
-  return batch;
 }
 
 void ReplicaScheduler::schedule_into(BatchSpec& out, Seconds now) {
@@ -70,7 +61,7 @@ void ReplicaScheduler::attach_one(RequestState* r) {
   // Requests arriving with prior progress (disaggregated hand-off of a
   // completed prefill) keep it; the cache only serves cold prefills.
   if (r->prefill_done > 0 || r->kv_context > 0) return;
-  const TokenCount matched = cache_->attach(r->request);
+  const TokenCount matched = cache_->attach(r->request, r->cache_pinned);
   trace_emit(trace_, TraceEventKind::kCacheLookup, obs_now_, obs_self_,
              r->request.id, matched, r->request.prefill_tokens,
              matched > 0 ? 1 : 0);
@@ -80,7 +71,18 @@ void ReplicaScheduler::attach_one(RequestState* r) {
   r->prefill_done = matched;
   r->kv_context = matched;
   r->kv_cached = matched;
-  r->kv_capacity = matched;
+}
+
+void ReplicaScheduler::retain_prefix(RequestState* r) {
+  if (cache_ == nullptr) return;
+  const long donated =
+      cache_->retain(r->request, r->kv_context, r->kv_cached, block_manager_);
+  block_manager_.transfer_to_cache(r->kv_blocks, donated);
+}
+
+void ReplicaScheduler::unpin_prefix(RequestState* r) {
+  if (cache_ != nullptr)
+    cache_->unpin(r->request, r->kv_cached, r->cache_pinned);
 }
 
 void ReplicaScheduler::set_obs(ReplicaId self, TraceRecorder* trace,
@@ -144,20 +146,15 @@ std::vector<RequestState*> ReplicaScheduler::on_batch_end(
       trace_emit(trace_, TraceEventKind::kCompleted, now, obs_self_,
                  r->request.id, r->record.num_restarts,
                  static_cast<std::int64_t>(batch.items.size()));
-      if (cache_ != nullptr) {
-        // Donate the shareable prefix KV before dropping pins (so the
-        // matched parent chain cannot be evicted mid-donation), then free
-        // whatever the cache did not take.
-        cache_->retain(r->request, r->kv_context, r->kv_cached,
-                       block_manager_);
-        cache_->unpin(r->request.id);
-      }
-      block_manager_.release(r->request.id);
-      r->kv_capacity = 0;
+      // Donate the shareable prefix KV before dropping pins (so the matched
+      // parent chain cannot be evicted mid-donation), then free whatever
+      // the cache did not take.
+      retain_prefix(r);
+      unpin_prefix(r);
+      block_manager_.release(r->kv_blocks);
       r->kv_cached = 0;
       r->admitted = false;
       running_.erase(std::find(running_.begin(), running_.end(), r));
-      by_id_.erase(r->request.id);
       finished.push_back(r);
     }
   }
@@ -169,21 +166,16 @@ void ReplicaScheduler::extract(RequestState* request) {
   VIDUR_CHECK_MSG(request->admitted && !request->in_flight,
                   "extract() requires an admitted request that is not "
                   "currently executing");
-  if (cache_ != nullptr) {
-    // The prefill replica keeps the conversation's prefix KV resident for
-    // future turns; the extracted request re-allocates everything on its
-    // decode replica (kv_cached resets — that cache is a different pool).
-    cache_->retain(request->request, request->kv_context, request->kv_cached,
-                   block_manager_);
-    cache_->unpin(request->request.id);
-  }
-  block_manager_.release(request->request.id);
-  request->kv_capacity = 0;
+  // The prefill replica keeps the conversation's prefix KV resident for
+  // future turns; the extracted request re-allocates everything on its
+  // decode replica (kv_cached resets — that cache is a different pool).
+  retain_prefix(request);
+  unpin_prefix(request);
+  block_manager_.release(request->kv_blocks);
   request->kv_cached = 0;
   request->prefix_checked = false;
   request->admitted = false;
   running_.erase(std::find(running_.begin(), running_.end(), request));
-  by_id_.erase(request->request.id);
 }
 
 std::vector<RequestState*> ReplicaScheduler::fail_all() {
@@ -194,9 +186,8 @@ std::vector<RequestState*> ReplicaScheduler::fail_all() {
   for (RequestState* r : running_) out.push_back(r);
   for (RequestState* r : waiting_) out.push_back(r);
   for (RequestState* r : out) {
-    if (cache_ != nullptr) cache_->unpin(r->request.id);
-    block_manager_.release(r->request.id);
-    by_id_.erase(r->request.id);
+    unpin_prefix(r);
+    block_manager_.release(r->kv_blocks);
     // Progress flags (admitted, prefill_done, ...) are intentionally left
     // as they were: the simulator classifies each casualty — queued handoff
     // vs. lost work — before resetting it for recovery.
@@ -222,16 +213,14 @@ std::vector<RequestState*> ReplicaScheduler::take_waiting() {
       keep.push_back(r);
       continue;
     }
-    by_id_.erase(r->request.id);
     // Cache-served progress does not travel: the matched blocks live in
     // THIS replica's pool. Prefilled hand-offs (decode re-homing) keep
     // their context — that KV migrates with them.
     if (!r->prefill_complete()) {
-      if (cache_ != nullptr) cache_->unpin(r->request.id);
+      unpin_prefix(r);
       r->prefill_done = 0;
       r->kv_context = 0;
       r->kv_cached = 0;
-      r->kv_capacity = 0;
       r->prefix_checked = false;
     }
     out.push_back(r);
@@ -247,23 +236,14 @@ RequestState* ReplicaScheduler::admit_front(TokenCount tokens,
   // `tokens` is an absolute KV target; the request only allocates the cold
   // suffix beyond its cache-resident prefix.
   const TokenCount cold = std::max<TokenCount>(0, tokens - r->kv_cached);
-  const long needed = block_manager_.blocks_for_tokens(cold) -
-                      block_manager_.allocated_to(r->request.id);
+  const long needed = block_manager_.blocks_for_tokens(cold) - r->kv_blocks;
   if (!make_room(needed, respect_watermark)) return nullptr;
-  VIDUR_CHECK(block_manager_.grow_to(r->request.id, cold));
-  sync_kv_capacity(r, tokens);
+  VIDUR_CHECK(block_manager_.grow_to(r->kv_blocks, cold));
   waiting_.pop_front();
   running_.push_back(r);
   r->admitted = true;
   if (ctr_admissions_ != nullptr) ctr_admissions_->inc();
   return r;
-}
-
-void ReplicaScheduler::sync_kv_capacity(RequestState* r, TokenCount tokens) {
-  const TokenCount cold = std::max<TokenCount>(0, tokens - r->kv_cached);
-  const TokenCount capacity =
-      r->kv_cached + block_manager_.blocks_for_tokens(cold) * plan_.block_size;
-  if (capacity > r->kv_capacity) r->kv_capacity = capacity;
 }
 
 bool ReplicaScheduler::watermark_ok(long blocks_needed) const {
@@ -291,39 +271,30 @@ bool ReplicaScheduler::ensure_decode_memory(RequestState* r,
   // Fast path: still inside the allocated blocks — no allocator touch.
   // Steady-state decodes only cross a block boundary every block_size
   // iterations.
-  if (target <= r->kv_capacity) return true;
+  if (target <= kv_tokens_held(r)) return true;
   const TokenCount cold = target - r->kv_cached;
-  const long needed = block_manager_.blocks_for_tokens(cold) -
-                      block_manager_.allocated_to(r->request.id);
-  if (make_room(needed, false) &&
-      block_manager_.grow_to(r->request.id, cold)) {
-    sync_kv_capacity(r, target);
+  const long needed = block_manager_.blocks_for_tokens(cold) - r->kv_blocks;
+  if (make_room(needed, false) && block_manager_.grow_to(r->kv_blocks, cold))
     return true;
-  }
   if (!allow_preemption) return false;
   while (RequestState* victim = preempt_one()) {
     // The victim released its blocks; it may have been `r` itself, in which
     // case `r` no longer runs this iteration.
     if (victim == r) return false;
-    if (block_manager_.grow_to(r->request.id, target - r->kv_cached)) {
-      sync_kv_capacity(r, target);
+    if (block_manager_.grow_to(r->kv_blocks, target - r->kv_cached))
       return true;
-    }
   }
   return false;
 }
 
 bool ReplicaScheduler::ensure_prefill_memory(RequestState* r,
                                              TokenCount target_tokens) {
-  if (target_tokens <= r->kv_capacity) return true;
+  if (target_tokens <= kv_tokens_held(r)) return true;
   const TokenCount cold =
       std::max<TokenCount>(0, target_tokens - r->kv_cached);
-  const long needed = block_manager_.blocks_for_tokens(cold) -
-                      block_manager_.allocated_to(r->request.id);
-  if (!make_room(needed, false)) return false;
-  if (!block_manager_.grow_to(r->request.id, cold)) return false;
-  sync_kv_capacity(r, target_tokens);
-  return true;
+  const long needed = block_manager_.blocks_for_tokens(cold) - r->kv_blocks;
+  return make_room(needed, false) &&
+         block_manager_.grow_to(r->kv_blocks, cold);
 }
 
 void ReplicaScheduler::add_prefill_item(BatchSpec& batch, RequestState* r,
@@ -387,8 +358,8 @@ RequestState* ReplicaScheduler::preempt_one() {
   trace_emit(trace_, TraceEventKind::kPreempted, obs_now_, obs_self_,
              victim->request.id);
   if (ctr_preemptions_ != nullptr) ctr_preemptions_->inc();
-  block_manager_.release(victim->request.id);
-  if (cache_ != nullptr) cache_->unpin(victim->request.id);
+  block_manager_.release(victim->kv_blocks);
+  unpin_prefix(victim);
   victim->restart();
   running_.erase(std::find(running_.begin(), running_.end(), victim));
   // Recomputed from scratch, at the head of the queue (vLLM semantics).

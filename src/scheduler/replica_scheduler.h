@@ -7,7 +7,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "execution/batch_spec.h"
@@ -33,14 +32,12 @@ class ReplicaScheduler {
   /// Throws vidur::Error if the request can never fit in the KV pool.
   void enqueue(RequestState* request);
 
-  /// Form the next iteration's batch: performs admission/allocation, marks
-  /// chosen requests in-flight and stamps first-schedule times. An empty
-  /// batch means no runnable work right now.
-  BatchSpec schedule(Seconds now);
-
-  /// schedule() into caller-owned storage: clears `out` and fills it,
-  /// reusing its item capacity (the simulator recycles in-flight slots so
-  /// steady state forms batches without allocating).
+  /// Form the next iteration's batch into caller-owned storage: clears
+  /// `out` and fills it, reusing its item capacity (the simulator recycles
+  /// in-flight slots so steady state forms batches without allocating).
+  /// Performs admission/allocation, marks chosen requests in-flight and
+  /// stamps first-schedule times. An empty batch means no runnable work
+  /// right now.
   void schedule_into(BatchSpec& out, Seconds now);
 
   /// A batch finished its final pipeline stage: advance request states,
@@ -58,7 +55,7 @@ class ReplicaScheduler {
   /// re-route these through the GlobalScheduler when the replica starts
   /// draining, so the drain only has to finish work that actually began
   /// here. Requests whose stale preempted batch is still executing are
-  /// kept (they must stay findable for the batch-end bookkeeping).
+  /// kept (that batch still ends on this replica).
   std::vector<RequestState*> take_waiting();
 
   /// Replica failure (src/fault/): remove and return EVERY request bound to
@@ -74,12 +71,6 @@ class ReplicaScheduler {
   /// resident cached block is evicted and returned to the BlockManager, so
   /// cluster-wide cached_blocks accounting cannot leak across scale-downs.
   void release_cached();
-
-  /// Request currently enqueued or running here, or nullptr.
-  RequestState* find(RequestId id) const {
-    const auto it = by_id_.find(id);
-    return it == by_id_.end() ? nullptr : it->second;
-  }
 
   int num_waiting() const { return static_cast<int>(waiting_.size()); }
   int num_running() const { return static_cast<int>(running_.size()); }
@@ -104,7 +95,7 @@ class ReplicaScheduler {
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
   /// Attach this replica's prefix cache (simulator-owned, borrowed; null
-  /// disables KV reuse). Every schedule() consults it for newly queued
+  /// disables KV reuse). Every schedule_into() consults it for newly queued
   /// requests, charges only the cold prefill suffix on hits, retains
   /// completed requests' shareable KV, and reclaims cached blocks on
   /// demand before failing an allocation.
@@ -142,9 +133,17 @@ class ReplicaScheduler {
   /// `target_tokens` cached entries. No preemption.
   bool ensure_prefill_memory(RequestState* r, TokenCount target_tokens);
 
-  /// Refresh r->kv_capacity after the allocator granted `tokens` worth of
-  /// blocks (the fast-path bound ensure_decode_memory checks first).
-  void sync_kv_capacity(RequestState* r, TokenCount tokens);
+  /// KV tokens `r` can hold without allocating: its cache-resident prefix
+  /// plus its own blocks (the fast-path bound the ensure_* checks read).
+  TokenCount kv_tokens_held(const RequestState* r) const {
+    return r->kv_cached + r->kv_blocks * plan_.block_size;
+  }
+
+  /// Donate `r`'s shareable KV to the prefix cache (if any) and move the
+  /// donated blocks from `r`'s allocation into the cache pool.
+  void retain_prefix(RequestState* r);
+  /// Drop `r`'s prefix-cache pins, if it holds any (idempotent).
+  void unpin_prefix(RequestState* r);
 
   /// Append a prefill-chunk item for `r` (marks in-flight, stamps times).
   void add_prefill_item(BatchSpec& batch, RequestState* r, TokenCount chunk,
@@ -188,7 +187,6 @@ class ReplicaScheduler {
   int timeline_slot_ = 0;
   std::deque<RequestState*> waiting_;
   std::vector<RequestState*> running_;  ///< admitted, unfinished
-  std::unordered_map<RequestId, RequestState*> by_id_;
 
   // ---- observability (all optional; see set_obs) ----
   ReplicaId obs_self_ = -1;
@@ -196,7 +194,8 @@ class ReplicaScheduler {
   Counter* ctr_preemptions_ = nullptr;
   Counter* ctr_admissions_ = nullptr;
   /// preempt_one() has no clock argument; this mirrors the last `now` seen
-  /// by schedule()/on_batch_end() so preemption records carry batch time.
+  /// by schedule_into()/on_batch_end() so preemption records carry batch
+  /// time.
   Seconds obs_now_ = 0.0;
 };
 

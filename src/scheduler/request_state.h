@@ -15,10 +15,11 @@ struct RequestState {
   TokenCount prefill_done = 0;  ///< prompt tokens processed so far
   TokenCount decode_done = 0;   ///< output tokens produced so far
   TokenCount kv_context = 0;    ///< tokens currently resident in KV cache
-  /// Tokens the current block allocation can hold (scheduler-maintained
-  /// mirror of the BlockManager's per-request allocation): decode-memory
-  /// checks only consult the allocator when a block boundary is crossed.
-  TokenCount kv_capacity = 0;
+  /// KV blocks this request holds in its replica's BlockManager (the
+  /// allocator keeps pool totals only). They cover the tokens past
+  /// kv_cached, so decode-memory checks only consult the allocator when
+  /// kv_context crosses kv_cached + kv_blocks * block_size.
+  long kv_blocks = 0;
   /// Leading tokens served from the replica's prefix cache: they count in
   /// kv_context/prefill_done but their blocks live in the cache pool (the
   /// request's own allocation covers only the cold suffix) and their
@@ -27,6 +28,11 @@ struct RequestState {
   /// The prefix cache was consulted for this enqueue (one lookup per
   /// (re-)admission; reset by restart and re-routing).
   bool prefix_checked = false;
+  /// The cache blocks behind kv_cached are pinned for this request (set by
+  /// the attach that matched them, cleared by their unpin). kv_cached
+  /// outlives the pins on a replica failure, so this flag, not kv_cached,
+  /// makes a second unpin a no-op.
+  bool cache_pinned = false;
   bool in_flight = false;       ///< member of a batch currently executing
   bool admitted = false;        ///< holds KV-cache memory on its replica
   /// A preemption restarted this request; the next batch membership emits a
@@ -54,7 +60,6 @@ struct RequestState {
     prefill_done = 0;
     decode_done = 0;
     kv_context = 0;
-    kv_capacity = 0;
     kv_cached = 0;
     prefix_checked = false;  // the next schedule may re-attach to the cache
     admitted = false;

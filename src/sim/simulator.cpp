@@ -165,6 +165,10 @@ Simulator::Simulator(SimulationConfig config, const Trace& trace,
     replicas_.push_back(std::move(replica));
   }
 
+  // Read live, per candidate, only by the policies that weigh load.
+  global_.set_load_probe([this](ReplicaId r) {
+    return replicas_[static_cast<std::size_t>(r)].scheduler->outstanding();
+  });
   if (config_.global_scheduler == GlobalSchedulerKind::kCacheAware &&
       config_.prefix_cache.enabled) {
     // Read-only probe: routing must not perturb cache stats or LRU order.
@@ -360,7 +364,6 @@ void Simulator::recover_request(RequestState* request, ReplicaId replica_id) {
     request->prefill_done = 0;
     request->kv_context = 0;
     request->kv_cached = 0;
-    request->kv_capacity = 0;
     request->prefix_checked = false;
     reenter_request(request);
     return;
@@ -581,16 +584,12 @@ SimulationMetrics Simulator::run() {
     }
     // Routed in pop order, so the round-robin counter assigns every
     // request the same target it always did, and each shard's stream comes
-    // out sorted. Round-robin reads no load, and before the run every
-    // replica's is 0: one snapshot serves every arrival.
+    // out sorted. Round-robin reads no load.
     std::vector<std::vector<EventQueue::Arrival>> streams(shards_.size());
     for (auto& stream : streams)  // exact for round-robin's even split
       stream.reserve(arrivals.size() / streams.size() + 1);
-    const std::vector<int>& outstanding = outstanding_counts(num_slots_);
-    static const std::vector<bool> kEveryReplica;  // empty mask: all routable
     for (const EventQueue::Arrival& arrival : arrivals) {
-      const ReplicaId target =
-          global_.route(arrival.request, outstanding, kEveryReplica);
+      const ReplicaId target = global_.route(arrival.request);
       VIDUR_CHECK(target >= 0);
       streams[static_cast<std::size_t>(target)].push_back(arrival);
     }
@@ -853,8 +852,7 @@ void Simulator::route_request(RequestState* request) {
       disaggregated_ ? arrival_mask()
       : cluster_     ? cluster_->routable_mask()
                      : kEveryReplica;
-  const ReplicaId target =
-      global_.route(request, outstanding_counts(num_slots_), mask);
+  const ReplicaId target = global_.route(request, mask);
   trace_emit(trace_rec_, TraceEventKind::kRouted, events_.now(), target,
        request->record.id);
   if (target >= 0) {
@@ -1303,15 +1301,6 @@ void Simulator::aggregate_resilience(ResilienceMetrics& out) const {
   registry_->counter("faults.decode_tokens_discarded")->value =
       static_cast<std::uint64_t>(out.decode_tokens_discarded);
   registry_->gauge("faults.mttr_s")->set(out.mttr_s);
-}
-
-const std::vector<int>& Simulator::outstanding_counts(int count) const {
-  outstanding_scratch_.clear();
-  outstanding_scratch_.reserve(static_cast<std::size_t>(count));
-  for (int r = 0; r < count; ++r)
-    outstanding_scratch_.push_back(
-        replicas_[static_cast<std::size_t>(r)].scheduler->outstanding());
-  return outstanding_scratch_;
 }
 
 }  // namespace vidur

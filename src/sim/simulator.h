@@ -217,10 +217,6 @@ class Simulator {
   void finish_batch(ReplicaId replica_id,
                     StageScheduler::BatchHandle handle);
   void pull_deferred(ReplicaId replica_id);
-  /// Outstanding request counts of the first `count` replicas. Returns a
-  /// member scratch buffer: valid until the next call, never reallocates
-  /// on the routing hot path.
-  const std::vector<int>& outstanding_counts(int count) const;
 
   // ---- sharded windowed engine ----
   /// One replica's private simulation timeline: its own event queue plus
@@ -342,7 +338,6 @@ class Simulator {
   std::shared_ptr<TokenTimeline> timeline_;
   std::vector<RequestState> states_;
   MetricsCollector metrics_;
-  mutable std::vector<int> outstanding_scratch_;
   std::unique_ptr<ClusterManager> cluster_;  ///< elastic fleets only
   std::size_t remaining_requests_ = 0;       ///< not yet completed
   /// Time of the last batch end, central engine only (elastic fleets end

@@ -10,6 +10,7 @@
 
 #include "cluster/replica_state.h"
 #include "common/check.h"
+#include "common/random.h"
 #include "obs/analysis.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
@@ -451,6 +452,108 @@ TEST(AnalysisJson, SchemaMismatchIsRejectedWithActionableError) {
   JsonValue j = analysis_json(analyze_trace(fixture_records(), {}));
   j.set("schema", static_cast<std::int64_t>(kTraceSchemaVersion - 1));
   EXPECT_THROW(analysis_report_from_json(j), Error);
+}
+
+TEST(AnalysisJson, OutOfRangeIntegersAreRejectedNamingTheKey) {
+  const JsonValue good = analysis_json(analyze_trace(fixture_records(), {}));
+  const auto message = [&](const char* key, std::int64_t value) {
+    JsonValue j = JsonValue::parse(good.dump());
+    JsonValue requests = j.at("requests");
+    requests.set(key, value);
+    j.set("requests", std::move(requests));
+    try {
+      analysis_report_from_json(j);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  // A count past 32 bits used to wrap to 0, and a negative size to 2^64-5.
+  EXPECT_NE(message("completed", 4294967296).find("'completed'"),
+            std::string::npos);
+  EXPECT_NE(message("records", -5).find("'records'"), std::string::npos);
+  EXPECT_NE(message("truncated", -1).find("'truncated'"), std::string::npos);
+  EXPECT_EQ(message("completed", 2147483647), "loaded");
+}
+
+TEST(AnalysisJson, MutatedReportFailsOnlyWithVidurErrors) {
+  // Seeded byte flips, truncations, short deletions, hostile token
+  // insertions and number swaps in the report of a disaggregated run with
+  // SLO targets, so waterfalls, violations, blame, audits and queueing all
+  // have rows. Each mutant must reload or throw vidur::Error; every report
+  // that reloads must hold its counts in range and render both ways.
+  SimulationConfig config = base_config(3, SchedulerKind::kVllm);
+  config.disagg.num_prefill_replicas = 1;
+  TraceRecorder recorder;
+  config.obs.trace = &recorder;
+  Simulator sim(config, poisson_trace(30, 2.0, 23), reference_factory(config));
+  sim.run();
+  AnalysisOptions options;
+  options.ttft_target = 0.3;
+  options.tbt_target = 0.03;
+  options.replica_pools = {"prefill", "decode", "decode"};
+  const std::string text =
+      analysis_json(analyze_trace(recorder.records(), options)).dump();
+  std::vector<std::size_t> numbers;  // offsets of object-member numbers
+  for (std::size_t i = 2; i < text.size(); ++i)
+    if (text[i - 2] == ':' && text[i - 1] == ' ' &&
+        (text[i] == '-' || (text[i] >= '0' && text[i] <= '9')))
+      numbers.push_back(i);
+  ASSERT_GT(numbers.size(), 100u);
+  const std::vector<std::string> tokens = {
+      "-1", "-5", "0", "-0", "0.5", "1e400", "2147483647", "2147483648",
+      "-2147483649", "4294967296", "9223372036854775807",
+      "9223372036854775808", "nan", "null", "true", "\"x\"", "[", "]",
+      "{}", ","};
+  Rng rng(20261019);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  int loaded = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string mutant = text;
+    const std::size_t pos = below(mutant.size());
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << below(8)));
+        break;
+      case 1:
+        mutant.resize(pos);
+        break;
+      case 2:
+        mutant.erase(pos, 1 + below(8));
+        break;
+      case 3:
+        mutant.insert(pos, tokens[below(tokens.size())]);
+        break;
+      default: {
+        const std::size_t at = numbers[below(numbers.size())];
+        const std::size_t end = mutant.find_first_of(",\n}]", at);
+        mutant.replace(at, end - at, tokens[below(tokens.size())]);
+      }
+    }
+    try {
+      const AnalysisReport r =
+          analysis_report_from_json(JsonValue::parse(mutant));
+      ++loaded;
+      EXPECT_TRUE(r.num_completed >= 0 && r.num_incomplete >= 0 &&
+                  r.num_truncated >= 0)
+          << mutant;
+      for (const RequestWaterfall& wf : r.waterfalls)
+        EXPECT_TRUE(wf.num_restarts >= 0 && wf.num_retries >= 0 &&
+                    wf.num_handoffs >= 0);
+      for (const ReplicaAudit& a : r.replicas)
+        EXPECT_TRUE(a.num_batches >= 0 && a.num_gaps >= 0);
+      EXPECT_FALSE(analysis_to_string(r).empty());
+      EXPECT_FALSE(analysis_json(r).dump().empty());
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what() << " escaped for\n" << mutant;
+    }
+  }
+  // Enough mutants must reload for the checks to mean something.
+  EXPECT_GT(loaded, 500);
 }
 
 TEST(AnalysisJson, HumanReportMentionsEverySection) {

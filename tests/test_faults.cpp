@@ -475,9 +475,10 @@ TEST(FaultRecovery, PreemptedRestartKeepsCachedPrefix) {
   TokenCount b_prefill_tokens = 0;
   const auto run_all = [&](RequestId track) {
     int steps = 0;
+    BatchSpec batch;
     while (scheduler->has_work()) {
       VIDUR_CHECK_MSG(++steps <= 100000, "scheduler made no progress");
-      const BatchSpec batch = scheduler->schedule(now);
+      scheduler->schedule_into(batch, now);
       now += 0.01;
       if (batch.empty()) continue;
       for (const BatchItem& item : batch.items)

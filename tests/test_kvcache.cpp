@@ -58,18 +58,22 @@ TEST(PrefixCache, ExactHitMissAccountingAcrossTurns) {
   // Turn 0: nothing resident -> miss.
   const Request r0 = session_turn(0, /*session=*/7, /*turn=*/0,
                                   /*prefill=*/64, /*decode=*/8);
+  bool r0_pinned = false;
   EXPECT_EQ(cache.probe(r0), 0);
-  EXPECT_EQ(cache.attach(r0), 0);
+  EXPECT_EQ(cache.attach(r0, r0_pinned), 0);
+  EXPECT_FALSE(r0_pinned);  // a miss pins nothing
   EXPECT_EQ(cache.stats().lookups, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
   // Completion: the request's 72 KV tokens donate 4 whole blocks (64 of
   // 72 tokens); the fractional fifth block is not shareable.
-  ASSERT_TRUE(bm.grow_to(0, 72));
+  long r0_blocks = 0;
+  ASSERT_TRUE(bm.grow_to(r0_blocks, 72));
   EXPECT_EQ(cache.retain(r0, /*kv_end=*/72, /*kv_cached=*/0, bm), 4);
-  cache.unpin(0);
-  bm.release(0);
+  bm.transfer_to_cache(r0_blocks, 4);
+  cache.unpin(r0, 0, r0_pinned);
+  bm.release(r0_blocks);
   EXPECT_EQ(cache.resident_blocks(), 4);
   EXPECT_EQ(cache.resident_sessions(), 1);
   EXPECT_EQ(bm.cached_blocks(), 4);
@@ -78,8 +82,10 @@ TEST(PrefixCache, ExactHitMissAccountingAcrossTurns) {
   // Turn 1 replays the conversation: all 4 donated blocks match. The
   // match never covers the whole prompt (at least one token stays cold).
   const Request r1 = session_turn(1, 7, 1, /*prefill=*/88);
+  bool r1_pinned = false;
   EXPECT_EQ(cache.probe(r1), 64);
-  EXPECT_EQ(cache.attach(r1), 64);
+  EXPECT_EQ(cache.attach(r1, r1_pinned), 64);
+  EXPECT_TRUE(r1_pinned);
   EXPECT_EQ(cache.stats().lookups, 2u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -90,7 +96,8 @@ TEST(PrefixCache, ExactHitMissAccountingAcrossTurns) {
   // While pinned nothing is evictable; after unpin only the chain's leaf
   // is (interior blocks stay until their children go).
   EXPECT_EQ(cache.evictable_blocks(), 0);
-  cache.unpin(1);
+  cache.unpin(r1, 64, r1_pinned);
+  EXPECT_FALSE(r1_pinned);
   EXPECT_EQ(cache.evictable_blocks(), 1);
 
   // A different session shares nothing.
@@ -115,9 +122,11 @@ TEST(PrefixCache, SharedPrefixMatchesAcrossSessionsAndGroups) {
   Request r0 = session_turn(0, 0, 0, /*prefill=*/80);
   r0.shared_prefix_tokens = 48;
   r0.prefix_group = 5;
-  ASSERT_TRUE(bm.grow_to(0, 80));
+  long r0_blocks = 0;
+  ASSERT_TRUE(bm.grow_to(r0_blocks, 80));
   EXPECT_EQ(cache.retain(r0, /*kv_end=*/80, /*kv_cached=*/0, bm), 5);
-  bm.release(0);
+  bm.transfer_to_cache(r0_blocks, 5);
+  bm.release(r0_blocks);
 
   // A different session of the same group reuses exactly the shared part.
   Request r1 = session_turn(1, 1, 0, /*prefill=*/64);
@@ -147,9 +156,11 @@ TEST(PrefixCache, LruEvictionOrderIsDeterministicLeafFirst) {
   for (std::int64_t s = 1; s <= 3; ++s) {
     const Request r = session_turn(/*id=*/s, /*session=*/s, 0,
                                    /*prefill=*/33);
-    ASSERT_TRUE(bm.grow_to(r.id, 33));
+    long blocks = 0;
+    ASSERT_TRUE(bm.grow_to(blocks, 33));
     EXPECT_EQ(cache.retain(r, /*kv_end=*/32, /*kv_cached=*/0, bm), 2);
-    bm.release(r.id);
+    bm.transfer_to_cache(blocks, 2);
+    bm.release(blocks);
   }
   // Session 3's retain evicted session 1's leaf first, then session 2's.
   EXPECT_EQ(cache.stats().inserted_blocks, 6u);
@@ -179,32 +190,66 @@ TEST(PrefixCache, PinnedBlocksSurviveReclaim) {
   BlockManager bm(64, 16);
   PrefixCache cache(16, 16);
   const Request r0 = session_turn(0, 7, 0, 64);
-  ASSERT_TRUE(bm.grow_to(0, 64));
-  cache.retain(r0, 64, 0, bm);
-  bm.release(0);
+  long r0_blocks = 0;
+  ASSERT_TRUE(bm.grow_to(r0_blocks, 64));
+  bm.transfer_to_cache(r0_blocks, cache.retain(r0, 64, 0, bm));
+  bm.release(r0_blocks);
 
   const Request r1 = session_turn(1, 7, 1, 80);
-  EXPECT_EQ(cache.attach(r1), 64);  // pins all 4 blocks
+  bool pinned = false;
+  EXPECT_EQ(cache.attach(r1, pinned), 64);  // pins all 4 blocks
   EXPECT_EQ(cache.reclaim(10, bm), 0);
   EXPECT_EQ(cache.resident_blocks(), 4);
-  cache.unpin(1);
+  cache.unpin(r1, 64, pinned);
   EXPECT_EQ(cache.reclaim(10, bm), 4);
+}
+
+TEST(PrefixCache, SecondUnpinAfterOneAttachChangesNothing) {
+  BlockManager bm(64, 16);
+  PrefixCache cache(16, 16);
+  const Request r0 = session_turn(0, 7, 0, 64);
+  long r0_blocks = 0;
+  ASSERT_TRUE(bm.grow_to(r0_blocks, 64));
+  bm.transfer_to_cache(r0_blocks, cache.retain(r0, 64, 0, bm));
+  bm.release(r0_blocks);
+
+  // Two readers pin the same 4-block chain.
+  const Request r1 = session_turn(1, 7, 1, 80);
+  const Request r2 = session_turn(2, 7, 1, 80);
+  bool r1_pinned = false, r2_pinned = false;
+  ASSERT_EQ(cache.attach(r1, r1_pinned), 64);
+  ASSERT_EQ(cache.attach(r2, r2_pinned), 64);
+  EXPECT_THROW(cache.attach(r1, r1_pinned), Error);  // pins are held once
+  cache.unpin(r1, 64, r1_pinned);
+  // A replica failure leaves the cached prefix set on its requests, so a
+  // request can be unpinned twice: the second must not take r2's pins.
+  cache.unpin(r1, 64, r1_pinned);
+  EXPECT_FALSE(r1_pinned);
+  EXPECT_EQ(cache.evictable_blocks(), 0);
+  EXPECT_EQ(cache.reclaim(10, bm), 0);
+  cache.unpin(r2, 64, r2_pinned);
+  EXPECT_EQ(cache.evictable_blocks(), 1);
+  EXPECT_EQ(cache.reclaim(10, bm), 4);
+  EXPECT_EQ(bm.used_blocks(), 0);
 }
 
 TEST(PrefixCache, RetainSkipsAlreadyResidentBlocks) {
   BlockManager bm(64, 16);
   PrefixCache cache(16, 16);
   const Request a = shared_prefix_request(0, 5, 64, 80);
-  ASSERT_TRUE(bm.grow_to(0, 80));
+  long a_blocks = 0;
+  ASSERT_TRUE(bm.grow_to(a_blocks, 80));
   EXPECT_EQ(cache.retain(a, 80, 0, bm), 4);  // the 4 shared blocks
-  bm.release(0);
+  bm.transfer_to_cache(a_blocks, 4);
+  bm.release(a_blocks);
 
   // A second request of the same group re-donates the same prefix: no
   // new blocks, no double-counted insertions, its own KV fully released.
   const Request b = shared_prefix_request(1, 5, 64, 80);
-  ASSERT_TRUE(bm.grow_to(1, 80));
+  long b_blocks = 0;
+  ASSERT_TRUE(bm.grow_to(b_blocks, 80));
   EXPECT_EQ(cache.retain(b, 80, 0, bm), 0);
-  bm.release(1);
+  bm.release(b_blocks);
   EXPECT_EQ(cache.stats().inserted_blocks, 4u);
   EXPECT_EQ(cache.resident_blocks(), 4);
   EXPECT_EQ(bm.used_blocks(), 4);
@@ -326,7 +371,6 @@ class ReferencePrefixCache {
       ++inserted;
       parent_chain = child;
     }
-    if (inserted > 0) bm.transfer_to_cache(request.id, inserted);
     return inserted;
   }
 
@@ -471,6 +515,14 @@ std::string check_message(Call&& call) {
   return {};
 }
 
+/// What one request holds on each side of a CachePair.
+struct Held {
+  long flat_blocks = 0;
+  long ref_blocks = 0;
+  bool pinned = false;  ///< the flat cache's pin flag (the reference keys
+                        ///< its pins by request id)
+};
+
 /// A flat cache and the reference, each over its own BlockManager, driven
 /// in lockstep. Every call goes to both; retain and reclaim record what
 /// each side threw, and check() compares everything either side exposes.
@@ -486,21 +538,28 @@ struct CachePair {
     EXPECT_EQ(tokens, ref.probe(r));
     return tokens;
   }
-  TokenCount attach(const Request& r) {
-    const TokenCount tokens = flat.attach(r);
+  TokenCount attach(const Request& r, Held& held) {
+    const TokenCount tokens = flat.attach(r, held.pinned);
     EXPECT_EQ(tokens, ref.attach(r));
     return tokens;
   }
-  void unpin(RequestId id) {
-    flat.unpin(id);
-    ref.unpin(id);
+  /// `tokens` is what attach matched for `r`.
+  void unpin(const Request& r, TokenCount tokens, Held& held) {
+    flat.unpin(r, tokens, held.pinned);
+    ref.unpin(r.id);
   }
-  long retain(const Request& r, TokenCount kv_end, TokenCount kv_cached) {
+  /// Donates on both sides and moves the donated blocks to the cache pool.
+  long retain(const Request& r, TokenCount kv_end, TokenCount kv_cached,
+              Held& held) {
     long a = -1, b = -1;
-    flat_error = check_message(
-        [&] { a = flat.retain(r, kv_end, kv_cached, flat_bm); });
-    ref_error = check_message(
-        [&] { b = ref.retain(r, kv_end, kv_cached, ref_bm); });
+    flat_error = check_message([&] {
+      a = flat.retain(r, kv_end, kv_cached, flat_bm);
+      flat_bm.transfer_to_cache(held.flat_blocks, a);
+    });
+    ref_error = check_message([&] {
+      b = ref.retain(r, kv_end, kv_cached, ref_bm);
+      ref_bm.transfer_to_cache(held.ref_blocks, b);
+    });
     EXPECT_EQ(a, b);
     return a;
   }
@@ -511,13 +570,13 @@ struct CachePair {
     EXPECT_EQ(a, b);
     return a;
   }
-  void grow_to(RequestId id, TokenCount tokens) {
-    ASSERT_TRUE(flat_bm.grow_to(id, tokens));
-    ASSERT_TRUE(ref_bm.grow_to(id, tokens));
+  void grow_to(Held& held, TokenCount tokens) {
+    ASSERT_TRUE(flat_bm.grow_to(held.flat_blocks, tokens));
+    ASSERT_TRUE(ref_bm.grow_to(held.ref_blocks, tokens));
   }
-  void release(RequestId id) {
-    flat_bm.release(id);
-    ref_bm.release(id);
+  void release(Held& held) {
+    flat_bm.release(held.flat_blocks);
+    ref_bm.release(held.ref_blocks);
   }
 
   /// True when both sides agree on every observable.
@@ -545,15 +604,17 @@ TEST(PrefixCacheDiff, RetainEvictsTheLeafItSkippedAndLinksNothing) {
   // C (session 1) is admitted while nothing is resident: a miss, so it
   // pins nothing and will donate from block 0.
   const Request c = session_turn(0, /*session=*/1, 0, /*prefill=*/40);
-  EXPECT_EQ(pair.attach(c), 0);
-  pair.grow_to(c.id, 48);
+  Held c_held;
+  EXPECT_EQ(pair.attach(c, c_held), 0);
+  pair.grow_to(c_held, 48);
   for (std::int64_t s = 1; s <= 3; ++s) {
     const Request r = session_turn(s, s, 0, /*prefill=*/17);
-    EXPECT_EQ(pair.attach(r), 0);
-    pair.grow_to(r.id, 20);
-    EXPECT_EQ(pair.retain(r, /*kv_end=*/20, /*kv_cached=*/0), 1);
-    pair.unpin(r.id);
-    pair.release(r.id);
+    Held held;
+    EXPECT_EQ(pair.attach(r, held), 0);
+    pair.grow_to(held, 20);
+    EXPECT_EQ(pair.retain(r, /*kv_end=*/20, /*kv_cached=*/0, held), 1);
+    pair.unpin(r, 0, held);
+    pair.release(held);
   }
   ASSERT_TRUE(pair.check());
   EXPECT_EQ(pair.flat.resident_blocks(), 3);
@@ -563,9 +624,9 @@ TEST(PrefixCacheDiff, RetainEvictsTheLeafItSkippedAndLinksNothing) {
   // the LRU head, so making room for block 1 evicts it; block 1 then goes
   // in with no parent link. Block 2 evicts session 2's block and links to
   // block 1.
-  EXPECT_EQ(pair.retain(c, /*kv_end=*/48, /*kv_cached=*/0), 2);
-  pair.unpin(c.id);
-  pair.release(c.id);
+  EXPECT_EQ(pair.retain(c, /*kv_end=*/48, /*kv_cached=*/0, c_held), 2);
+  pair.unpin(c, 0, c_held);
+  pair.release(c_held);
   ASSERT_TRUE(pair.check());
   EXPECT_EQ(pair.flat.stats().inserted_blocks, 5u);
   EXPECT_EQ(pair.flat.stats().evicted_blocks, 2u);
@@ -616,6 +677,7 @@ void run_random_ops(std::uint64_t seed, int ops, Outcome* outcome) {
     Request request;
     TokenCount kv_cached = 0;
     TokenCount kv_end = 0;
+    Held held;
   };
   std::vector<Live> live;
   std::vector<Request> preempted;
@@ -655,9 +717,9 @@ void run_random_ops(std::uint64_t seed, int ops, Outcome* outcome) {
   const auto admit = [&](const Request& r, bool attach) {
     Live l;
     l.request = r;
-    l.kv_cached = attach ? pair.attach(r) : 0;
+    l.kv_cached = attach ? pair.attach(r, l.held) : 0;
     l.kv_end = r.prefill_tokens + rng.uniform_int(0, r.decode_tokens);
-    pair.grow_to(r.id, l.kv_end - l.kv_cached);
+    pair.grow_to(l.held, l.kv_end - l.kv_cached);
     live.push_back(l);
   };
   const auto take_live = [&]() {
@@ -667,11 +729,11 @@ void run_random_ops(std::uint64_t seed, int ops, Outcome* outcome) {
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
     return l;
   };
-  const auto complete = [&](const Live& l) {
+  const auto complete = [&](Live l) {
     // Completion (or a disaggregated hand-off): donate, then unpin.
-    pair.retain(l.request, l.kv_end, l.kv_cached);
-    pair.unpin(l.request.id);
-    pair.release(l.request.id);
+    pair.retain(l.request, l.kv_end, l.kv_cached, l.held);
+    pair.unpin(l.request, l.kv_cached, l.held);
+    pair.release(l.held);
   };
 
   *outcome = Outcome::kCheckFailed;
@@ -687,16 +749,23 @@ void run_random_ops(std::uint64_t seed, int ops, Outcome* outcome) {
     } else if (u < 0.75 && !live.empty()) {
       complete(take_live());
     } else if (u < 0.83 && !live.empty()) {
-      const Live l = take_live();
-      pair.unpin(l.request.id);
-      pair.release(l.request.id);
+      Live l = take_live();
+      pair.unpin(l.request, l.kv_cached, l.held);
+      pair.release(l.held);
       preempted.push_back(l.request);
     } else if (u < 0.9) {
       pair.reclaim(rng.uniform_int(0, 4));
     } else if (u < 0.98) {
       pair.probe(make_request());
     } else {
-      pair.unpin(next_id + 1000);  // unknown id: a no-op
+      // A request that holds no pins (a second unpin, or one that never
+      // attached): a no-op on both sides.
+      Request stray;
+      stray.id = next_id + 1000;
+      stray.session = 0;
+      stray.prefill_tokens = 8 * block_size;
+      Held none;
+      pair.unpin(stray, 4 * block_size, none);
     }
     ASSERT_EQ(pair.flat_error, pair.ref_error)
         << "seed " << seed << ", op " << op;

@@ -83,55 +83,62 @@ TEST(BlockManager, BlocksForTokensCeilDivision) {
 
 TEST(BlockManager, GrowAndRelease) {
   BlockManager mgr(10, 16);
-  EXPECT_TRUE(mgr.grow_to(1, 50));  // 4 blocks
+  long held = 0;
+  EXPECT_TRUE(mgr.grow_to(held, 50));  // 4 blocks
   EXPECT_EQ(mgr.used_blocks(), 4);
-  EXPECT_EQ(mgr.allocated_to(1), 4);
-  EXPECT_TRUE(mgr.grow_to(1, 60));  // still 4 blocks
+  EXPECT_EQ(held, 4);
+  EXPECT_TRUE(mgr.grow_to(held, 60));  // still 4 blocks
   EXPECT_EQ(mgr.used_blocks(), 4);
-  EXPECT_TRUE(mgr.grow_to(1, 65));  // 5 blocks
+  EXPECT_TRUE(mgr.grow_to(held, 65));  // 5 blocks
   EXPECT_EQ(mgr.used_blocks(), 5);
-  mgr.release(1);
+  mgr.release(held);
   EXPECT_EQ(mgr.used_blocks(), 0);
-  EXPECT_EQ(mgr.allocated_to(1), 0);
+  EXPECT_EQ(held, 0);
 }
 
 TEST(BlockManager, GrowToNeverShrinks) {
   BlockManager mgr(10, 16);
-  EXPECT_TRUE(mgr.grow_to(1, 160));  // 10 blocks
-  EXPECT_TRUE(mgr.grow_to(1, 16));   // no-op, keeps 10
-  EXPECT_EQ(mgr.allocated_to(1), 10);
+  long held = 0;
+  EXPECT_TRUE(mgr.grow_to(held, 160));  // 10 blocks
+  EXPECT_TRUE(mgr.grow_to(held, 16));   // no-op, keeps 10
+  EXPECT_EQ(held, 10);
 }
 
 TEST(BlockManager, FailedGrowLeavesStateUntouched) {
   BlockManager mgr(4, 16);
-  EXPECT_TRUE(mgr.grow_to(1, 48));   // 3 blocks
-  EXPECT_FALSE(mgr.grow_to(2, 48));  // needs 3, only 1 free
-  EXPECT_EQ(mgr.allocated_to(2), 0);
+  long a = 0, b = 0;
+  EXPECT_TRUE(mgr.grow_to(a, 48));   // 3 blocks
+  EXPECT_FALSE(mgr.grow_to(b, 48));  // needs 3, only 1 free
+  EXPECT_EQ(b, 0);
   EXPECT_EQ(mgr.used_blocks(), 3);
-  EXPECT_TRUE(mgr.grow_to(2, 16));  // 1 block fits
+  EXPECT_TRUE(mgr.grow_to(b, 16));  // 1 block fits
 }
 
 TEST(BlockManager, UtilizationFraction) {
   BlockManager mgr(10, 16);
   EXPECT_DOUBLE_EQ(mgr.utilization(), 0.0);
-  mgr.grow_to(1, 80);
+  long held = 0;
+  mgr.grow_to(held, 80);
   EXPECT_DOUBLE_EQ(mgr.utilization(), 0.5);
 }
 
 TEST(BlockManager, ReleaseUnknownIsNoop) {
   BlockManager mgr(10, 16);
-  mgr.release(42);
+  long held = 0;  // a holder that never allocated
+  mgr.release(held);
   EXPECT_EQ(mgr.used_blocks(), 0);
+  EXPECT_EQ(held, 0);
 }
 
 TEST(BlockManager, MultipleRequestsShareThePool) {
   BlockManager mgr(10, 16);
-  EXPECT_TRUE(mgr.grow_to(1, 64));  // 4
-  EXPECT_TRUE(mgr.grow_to(2, 64));  // 4
-  EXPECT_FALSE(mgr.grow_to(3, 64)); // only 2 free
-  EXPECT_TRUE(mgr.grow_to(3, 32));  // 2 fit
+  long a = 0, b = 0, c = 0;
+  EXPECT_TRUE(mgr.grow_to(a, 64));   // 4
+  EXPECT_TRUE(mgr.grow_to(b, 64));   // 4
+  EXPECT_FALSE(mgr.grow_to(c, 64));  // only 2 free
+  EXPECT_TRUE(mgr.grow_to(c, 32));   // 2 fit
   EXPECT_EQ(mgr.free_blocks(), 0);
-  mgr.release(2);
+  mgr.release(b);
   EXPECT_EQ(mgr.free_blocks(), 4);
 }
 
@@ -147,9 +154,10 @@ TEST(BlockManager, ZeroBlockManagerIsValidAndIdle) {
   EXPECT_DOUBLE_EQ(mgr.utilization(), 0.0);
   EXPECT_EQ(mgr.total_blocks(), 0);
   EXPECT_EQ(mgr.free_blocks(), 0);
-  EXPECT_FALSE(mgr.grow_to(1, 16));
-  EXPECT_EQ(mgr.allocated_to(1), 0);
-  mgr.release(1);  // no-op
+  long held = 0;
+  EXPECT_FALSE(mgr.grow_to(held, 16));
+  EXPECT_EQ(held, 0);
+  mgr.release(held);  // no-op
   EXPECT_DOUBLE_EQ(mgr.utilization(), 0.0);
 }
 
@@ -157,24 +165,27 @@ TEST(BlockManager, GrowToExactBlockBoundary) {
   // Exactly filling the last block must not allocate a spare block, and
   // one token past the boundary must take a fresh block.
   BlockManager mgr(10, 16);
-  EXPECT_TRUE(mgr.grow_to(1, 32));  // exactly 2 blocks
-  EXPECT_EQ(mgr.allocated_to(1), 2);
-  EXPECT_TRUE(mgr.grow_to(1, 33));  // boundary + 1 -> 3 blocks
-  EXPECT_EQ(mgr.allocated_to(1), 3);
-  EXPECT_TRUE(mgr.grow_to(1, 48));  // back on a boundary, still 3
-  EXPECT_EQ(mgr.allocated_to(1), 3);
+  long held = 0;
+  EXPECT_TRUE(mgr.grow_to(held, 32));  // exactly 2 blocks
+  EXPECT_EQ(held, 2);
+  EXPECT_TRUE(mgr.grow_to(held, 33));  // boundary + 1 -> 3 blocks
+  EXPECT_EQ(held, 3);
+  EXPECT_TRUE(mgr.grow_to(held, 48));  // back on a boundary, still 3
+  EXPECT_EQ(held, 3);
   EXPECT_EQ(mgr.used_blocks(), 3);
 }
 
 TEST(BlockManager, CachedPoolAccounting) {
   BlockManager mgr(10, 16);
-  EXPECT_TRUE(mgr.grow_to(1, 64));  // 4 blocks
-  mgr.transfer_to_cache(1, 3);
+  long held = 0;
+  EXPECT_TRUE(mgr.grow_to(held, 64));  // 4 blocks
+  mgr.transfer_to_cache(held, 3);
   // The cached pool still counts as used (KV pressure sees retained KV).
   EXPECT_EQ(mgr.cached_blocks(), 3);
   EXPECT_EQ(mgr.used_blocks(), 4);
-  EXPECT_EQ(mgr.allocated_to(1), 1);
-  mgr.release(1);  // frees only the request's remaining block
+  EXPECT_EQ(held, 1);
+  EXPECT_THROW(mgr.transfer_to_cache(held, 2), Error);  // holds only 1
+  mgr.release(held);  // frees only the request's remaining block
   EXPECT_EQ(mgr.used_blocks(), 3);
   EXPECT_EQ(mgr.cached_blocks(), 3);
   mgr.release_cached(2);

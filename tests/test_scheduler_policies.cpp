@@ -1,7 +1,8 @@
 // Tests for the five batching policies (src/scheduler/policies.*): admission
 // rules, token budgets, preemption, and the policy-specific behaviours the
 // paper's taxonomy describes (§2.2, §4.5). Policies are driven directly
-// through the ReplicaScheduler interface with a miniature execution loop.
+// through the ReplicaScheduler interface with a miniature execution loop,
+// which checks KV-block conservation after every iteration.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "kvcache/prefix_cache.h"
 #include "scheduler/disagg_policies.h"
 #include "scheduler/policies.h"
 
@@ -40,8 +42,15 @@ class Harness {
       : scheduler_(std::move(scheduler)) {}
 
   RequestState* add(TokenCount prefill, TokenCount decode) {
+    return add(Request{.prefill_tokens = prefill, .decode_tokens = decode});
+  }
+
+  /// Enqueue `request` (session and prefix tags kept) under the next id.
+  RequestState* add(Request request) {
     auto state = std::make_unique<RequestState>();
-    state->request = Request{next_id_++, now_, prefill, decode};
+    request.id = next_id_++;
+    request.arrival_time = now_;
+    state->request = request;
     state->record.id = state->request.id;
     state->record.arrival_time = now_;
     RequestState* ptr = state.get();
@@ -50,12 +59,31 @@ class Harness {
     return ptr;
   }
 
-  /// One schedule + complete cycle. Returns the batch that ran.
+  /// Form the next batch without running it.
+  BatchSpec schedule(Seconds now) {
+    BatchSpec batch;
+    scheduler_->schedule_into(batch, now);
+    return batch;
+  }
+
+  /// One schedule + complete cycle. Returns the batch that ran. Every
+  /// used block belongs to exactly one request or to the prefix cache,
+  /// after the batch forms and after it ends.
   BatchSpec step() {
-    BatchSpec batch = scheduler_->schedule(now_);
+    BatchSpec batch = schedule(now_);
+    expect_blocks_conserved();
     now_ += 0.01;
     if (!batch.empty()) scheduler_->on_batch_end(batch, now_);
+    expect_blocks_conserved();
     return batch;
+  }
+
+  void expect_blocks_conserved() const {
+    long held = 0;
+    for (const auto& state : states_) held += state->kv_blocks;
+    const BlockManager& blocks = scheduler_->blocks();
+    EXPECT_EQ(blocks.used_blocks(), held + blocks.cached_blocks())
+        << "at t=" << now_;
   }
 
   /// Run until everything finishes (or the step limit trips).
@@ -188,7 +216,8 @@ TEST(FasterTransformer, ReservesFullSequenceUpFront) {
   Harness h = make_harness(SchedulerKind::kFasterTransformer, 1);
   RequestState* r = h.add(100, 60);  // 160 tokens -> 10 blocks
   h.step();
-  EXPECT_EQ(h.scheduler().blocks().allocated_to(r->request.id), 10);
+  EXPECT_EQ(r->kv_blocks, 10);
+  EXPECT_EQ(h.scheduler().blocks().used_blocks(), 10);
 }
 
 // ------------------------------------------------------------------ Orca+
@@ -313,6 +342,65 @@ TEST(Sarathi, NeverExceedsChunkBudget) {
   }
 }
 
+TEST(Sarathi, PrefixCacheUnderKvPressureConservesBlocksAndPins) {
+  // A 24-block pool (384 tokens) with a prefix cache of up to 16 blocks,
+  // driven through donation, reclaim, attach and preemption in turn. The
+  // harness checks block conservation after every iteration.
+  Harness h = make_harness(SchedulerKind::kSarathi, 8, 64, /*blocks=*/24);
+  PrefixCache cache(/*capacity_blocks=*/16, /*block_size=*/16);
+  h.scheduler().set_prefix_cache(&cache);
+  const auto turn = [](std::int64_t session, int index, TokenCount prefill,
+                       TokenCount decode) {
+    Request r;
+    r.session = session;
+    r.turn = index;
+    r.prefill_tokens = prefill;
+    r.decode_tokens = decode;
+    return r;
+  };
+  std::vector<RequestState*> requests;
+
+  // Donation: two first turns end with 135 KV tokens each and donate 8
+  // whole blocks apiece, which fills the cache exactly.
+  for (std::int64_t s = 0; s < 2; ++s)
+    requests.push_back(h.add(turn(s, 0, /*prefill=*/96, /*decode=*/40)));
+  h.run_to_completion();
+  EXPECT_EQ(cache.stats().inserted_blocks, 16u);
+  EXPECT_EQ(h.scheduler().blocks().cached_blocks(), 16);
+
+  // Reclaim: a plain request needs 12 blocks with 8 free, so admission and
+  // prefill growth evict cached leaves. It donates nothing.
+  requests.push_back(h.add(150, 40));
+  h.run_to_completion();
+  EXPECT_GE(cache.stats().evicted_blocks, 4u);
+  EXPECT_EQ(cache.stats().inserted_blocks, 16u);
+
+  // Attach and preemption: the second turns hit what is left of their
+  // first turns' chains, and at 15 blocks each they cannot both finish in
+  // 24 blocks.
+  for (std::int64_t s = 0; s < 2; ++s)
+    requests.push_back(h.add(turn(s, 1, /*prefill=*/176, /*decode=*/60)));
+  h.run_to_completion();
+
+  int restarts = 0;
+  for (const RequestState* r : requests) {
+    EXPECT_TRUE(r->finished());
+    EXPECT_EQ(r->kv_blocks, 0);
+    EXPECT_FALSE(r->cache_pinned);
+    restarts += r->record.num_restarts;
+  }
+  EXPECT_GT(restarts, 0);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().inserted_blocks, 16u);
+  EXPECT_EQ(h.scheduler().blocks().used_blocks(),
+            h.scheduler().blocks().cached_blocks());
+  // Every pin was dropped, so the whole cached pool drains.
+  h.scheduler().release_cached();
+  EXPECT_EQ(cache.resident_blocks(), 0);
+  EXPECT_EQ(h.scheduler().blocks().cached_blocks(), 0);
+  EXPECT_EQ(h.scheduler().blocks().used_blocks(), 0);
+}
+
 // --------------------------------------------------------------- LightLLM
 
 TEST(LightLlm, ConservativeAdmissionNeverPreempts) {
@@ -391,7 +479,7 @@ TEST(Extract, ReleasesMemoryAndForgetsRequest) {
   h.scheduler().extract(r);
   EXPECT_FALSE(r->admitted);
   EXPECT_EQ(h.scheduler().blocks().used_blocks(), 0);
-  EXPECT_EQ(h.scheduler().find(r->request.id), nullptr);
+  EXPECT_EQ(r->kv_blocks, 0);
   EXPECT_EQ(h.scheduler().outstanding(), 0);
 }
 
@@ -401,7 +489,7 @@ TEST(Extract, RejectsUnadmittedOrInFlightRequests) {
   RequestState* waiting = h.add(128, 10);
   EXPECT_THROW(h.scheduler().extract(waiting), Error);  // never admitted
 
-  BatchSpec batch = h.scheduler().schedule(0.0);  // now in flight
+  BatchSpec batch = h.schedule(0.0);  // now in flight
   ASSERT_FALSE(batch.empty());
   EXPECT_THROW(h.scheduler().extract(waiting), Error);
 }
@@ -424,7 +512,7 @@ TEST(DisaggPrefill, ChunksPromptsAndNeverDecodes) {
   }
   EXPECT_EQ(prefill_items, 4);
   // Prefill done: the role scheduler must not produce decode work.
-  EXPECT_TRUE(h.scheduler().schedule(h.now()).empty());
+  EXPECT_TRUE(h.schedule(h.now()).empty());
 }
 
 TEST(DisaggPrefill, BatchesChunksAcrossRequests) {
@@ -432,7 +520,7 @@ TEST(DisaggPrefill, BatchesChunksAcrossRequests) {
       config_of(SchedulerKind::kSarathi, 8, 128), small_plan()));
   h.add(64, 5);
   h.add(64, 5);
-  const BatchSpec batch = h.scheduler().schedule(0.0);
+  const BatchSpec batch = h.schedule(0.0);
   EXPECT_EQ(batch.size(), 2);  // both prompts fit one 128-token budget
   EXPECT_EQ(batch.total_q_tokens(), 128);
 }
@@ -461,7 +549,7 @@ TEST(DisaggDecode, RejectsRequestsWithIncompletePrefill) {
   Harness h(std::make_unique<DisaggDecodeScheduler>(
       config_of(SchedulerKind::kVllm, 8), small_plan()));
   h.add(100, 10);  // raw request: prefill not done
-  EXPECT_THROW(h.scheduler().schedule(0.0), Error);
+  EXPECT_THROW(h.schedule(0.0), Error);
 }
 
 TEST(DisaggDecode, ConservativeAdmissionDefersWhenPeakWouldNotFit) {
@@ -474,7 +562,7 @@ TEST(DisaggDecode, ConservativeAdmissionDefersWhenPeakWouldNotFit) {
   add_migrated(h, 120, 40);
   RequestState* third = add_migrated(h, 120, 40);
 
-  const BatchSpec batch = h.scheduler().schedule(0.0);
+  const BatchSpec batch = h.schedule(0.0);
   EXPECT_EQ(batch.size(), 2);
   EXPECT_FALSE(third->admitted);
   EXPECT_EQ(h.scheduler().num_waiting(), 1);
