@@ -135,15 +135,14 @@ double from_order_key(std::uint64_t key) {
 }  // namespace
 
 void StreamSummary::add(double x) {
-  add_each(1, [x](const auto& sink) { sink(x); });
+  add_each([x](const auto& sink) { sink(x, std::uint64_t{1}); });
 }
 
 void StreamSummary::add_gaps(const std::vector<double>& times) {
-  if (times.size() < 2) return;
   const double* const t = times.data();
-  const std::size_t n = times.size() - 1;
-  add_each(n, [t, n](const auto& sink) {
-    for (std::size_t i = 0; i < n; ++i) sink(t[i + 1] - t[i]);
+  const std::size_t n = times.size();
+  add_each([t, n](const auto& sink) {
+    for (std::size_t i = 1; i < n; ++i) sink(t[i] - t[i - 1], std::uint64_t{1});
   });
 }
 

@@ -99,44 +99,58 @@ inline std::uint64_t order_key(double x) {
 ///     for (double x : samples) s.add(x);
 ///   const Summary& out = s.summary();
 ///
-/// The result equals Summary::of() of a SampleSeries filled in that order,
-/// field for field: the sums run in stream order, and every quantile
-/// interpolates the same two order statistics, found by an exact radix
-/// selection over order_key(). Each pass counts one 12-bit digit among the
+/// A sample may come with a weight w >= 1, standing for w copies of it
+/// (add_each): a stream of many repeated values, such as a fleet's
+/// inter-token gaps, which repeat one batch gap for every request in the
+/// batch, is fed as one item per distinct occurrence.
+///
+/// The result equals Summary::of() of a SampleSeries holding every copy:
+/// count, min, max and every quantile bit for bit, whatever the feed order
+/// or the grouping into weights. Every quantile interpolates the same two
+/// order statistics, found by an exact radix selection over order_key().
+/// The sums run in feed order, each item adding x * w and w * (x - mean)^2,
+/// so mean and stddev are bit-identical to the sort's for a stream of
+/// weight-1 samples in the series' order, and otherwise differ from it by
+/// summation rounding only. Each pass counts one 12-bit digit among the
 /// samples sharing an order statistic's resolved key prefix (the first
-/// digit is the sign and exponent); once at most kGatherMax samples share a
-/// prefix, the next pass collects their keys and selects among them. No
-/// stream takes more than six passes, and the inter-token gaps of a fleet
-/// run take three. Memory is a 32 KB histogram per open prefix (at most one
-/// per order statistic) plus at most kGatherMax gathered keys per prefix,
-/// whatever the stream length. Samples must not be NaN; a quantile landing
-/// among zeros of both signs may differ from the sort's in that sign only.
+/// digit is the sign and exponent); once at most kGatherMax copies share a
+/// prefix, the next pass collects their keys, a weighted item adding w
+/// keys, and selects among them. No stream takes more than six passes, and
+/// the inter-token gaps of a fleet run take three. Memory is a 32 KB
+/// histogram per open prefix (at most one per order statistic) plus at most
+/// kGatherMax gathered keys per prefix, whatever the stream length. Samples
+/// must not be NaN; a quantile landing among zeros of both signs may differ
+/// from the sort's in that sign only.
 class StreamSummary {
  public:
   /// Start the next pass; false once summary() is final.
   bool next_pass();
-  /// Feed one sample of the current pass.
+  /// Feed one sample of the current pass: add_each with one item of
+  /// weight 1.
   void add(double x);
-  /// Feed the `count` samples `visit` yields, in order: visit(sink) calls
-  /// sink(x) once per sample. The bulk form of add(), for long streams that
-  /// are not stored as one array, such as one request's inter-token gaps
-  /// (TokenTimes::for_each_gap).
+  /// Feed the items `visit` yields, in order: visit(sink) calls sink(x, w)
+  /// once per item, w a std::uint64_t >= 1, for w copies of sample x. The
+  /// one feed form: the bulk form of add(), for long streams that are not
+  /// stored as one array.
   template <typename Visit>
-  void add_each(std::size_t count, const Visit& visit);
+  void add_each(const Visit& visit);
   /// Feed the gaps between consecutive entries of `times`, in order
-  /// (times[1] - times[0], ...).
+  /// (times[1] - times[0], ...), each of weight 1: the per-token reference
+  /// for weighted gap feeds.
   void add_gaps(const std::vector<double>& times);
   const Summary& summary() const { return out_; }
 
  private:
   static constexpr int kDigitBits = 12;
-  /// Prefixes shared by at most this many samples are gathered.
+  /// Prefixes shared by at most this many samples (total weight) are
+  /// gathered.
   static constexpr std::size_t kGatherMax = std::size_t{1} << 16;
   static constexpr std::size_t kRouteSize = std::size_t{1} << kDigitBits;
   static constexpr std::uint8_t kAmbiguous = 0xFF;
 
   /// The samples sharing one resolved key prefix in the current pass: a
   /// histogram of their next digit, or, for a small group, their keys.
+  /// Sizes and counts are total weights.
   struct Group {
     std::uint64_t size = 0;  ///< samples sharing the prefix
     bool gather = false;
@@ -182,10 +196,11 @@ class StreamSummary {
 };
 
 template <typename Visit>
-void StreamSummary::add_each(std::size_t count, const Visit& visit) {
+void StreamSummary::add_each(const Visit& visit) {
   // Accumulators live in locals for the whole stream (no store-to-load
-  // chains through members), summing in stream order exactly as
-  // SampleSeries does: the values, then the squared deviations.
+  // chains through members), summing in stream order: the values, then
+  // the squared deviations, each times its weight. Weight 1 multiplies
+  // exactly, so a weight-1 stream sums exactly as SampleSeries does.
   const std::uint64_t mask = mask_;
   const int shift = shift_;
   const std::uint64_t digit_mask = (std::uint64_t{1} << width_) - 1;
@@ -193,7 +208,7 @@ void StreamSummary::add_each(std::size_t count, const Visit& visit) {
   const int route_shift = route_shift_;
   const std::uint64_t* const prefix = group_prefix_.data();
   const std::size_t num_groups = group_prefix_.size();
-  const auto route = [&](std::uint64_t key) {
+  const auto route = [&](std::uint64_t key, std::uint64_t w) {
     // The previous digit picks the candidate group; most samples stop here.
     std::size_t g = route_table[(key >> route_shift) & (kRouteSize - 1)];
     if (g == 0) return;
@@ -207,21 +222,23 @@ void StreamSummary::add_each(std::size_t count, const Visit& visit) {
     }
     Group& group = groups_[g];
     if (group.gather)
-      group.keys.push_back(key);
+      group.keys.insert(group.keys.end(), w, key);
     else
-      ++group.count[static_cast<std::size_t>((key >> shift) & digit_mask)];
+      group.count[static_cast<std::size_t>((key >> shift) & digit_mask)] += w;
   };
   if (pass_ == 0) {
     // Every sample shares the empty prefix: count its first digit.
     std::uint64_t* const first = groups_[0].count.data();
     double sum = sum_, lo = min_, hi = max_;
-    visit([&](double x) {
-      sum += x;
+    std::uint64_t n = n_;
+    visit([&](double x, std::uint64_t w) {
+      sum += x * static_cast<double>(w);
+      n += w;
       if (x < lo) lo = x;
       if (hi < x) hi = x;
-      ++first[order_key(x) >> shift];
+      first[order_key(x) >> shift] += w;
     });
-    n_ += count;
+    n_ = n;
     sum_ = sum;
     min_ = lo;
     max_ = hi;
@@ -232,9 +249,9 @@ void StreamSummary::add_each(std::size_t count, const Visit& visit) {
     const bool deviation = pass_ == 1;
     const double mean = mean_;
     double dev = dev_;
-    visit([&](double x) {
-      if (deviation) dev += (x - mean) * (x - mean);
-      route(order_key(x));
+    visit([&](double x, std::uint64_t w) {
+      if (deviation) dev += static_cast<double>(w) * ((x - mean) * (x - mean));
+      route(order_key(x), w);
     });
     dev_ = dev;
   }

@@ -1,7 +1,11 @@
 #include "metrics/metrics.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/table.h"
@@ -125,38 +129,181 @@ bool meets_slo(const RequestRecord& r, const SloSpec& slo) {
   return true;
 }
 
-/// Exact summaries of the completed records `keep` accepts, read in place
-/// in record order — for TBT, record then token: the order the samples
-/// would have been appended to a SampleSeries. Nothing is copied or sorted.
+/// Exact summaries of the completed records `keep` accepts, read in place.
+/// Nothing is copied or sorted.
 template <typename Keep>
 struct RecordSummaries {
   RequestRecordView records;
   Keep keep;
 
-  /// One sample per record: `metric` of each.
+  /// One sample per record: `metric` of each, in record order.
   Summary of(Seconds (RequestRecord::*metric)() const) const {
-    return summarize([metric](StreamSummary& s, const RequestRecord& r) {
-      s.add((r.*metric)());
-    });
-  }
-  /// Every inter-token gap of each record, one feed per record.
-  Summary tbt() const {
-    return summarize([](StreamSummary& s, const RequestRecord& r) {
-      if (r.token_times.size() < 2) return;
-      s.add_each(r.token_times.size() - 1,
-                 [&r](const auto& f) { r.token_times.for_each_gap(f); });
-    });
-  }
-  template <typename Feed>
-  Summary summarize(const Feed& feed) const {
     StreamSummary s;
     while (s.next_pass()) {
       for (std::size_t i = 0; i < records.size(); ++i) {
         const RequestRecord& r = records[i];
-        if (r.completed() && keep(r)) feed(s, r);
+        if (r.completed() && keep(r)) s.add((r.*metric)());
       }
     }
     return s.summary();
+  }
+
+  /// Every inter-token gap of the kept records, fed as weighted batch gaps:
+  /// a gap inside a run is the gap between two consecutive batch ends of
+  /// its slot, so each slot gap is fed once, weighted by the kept runs
+  /// spanning it, and each boundary between a record's runs adds one gap
+  /// of weight 1. The same multiset as the per-token gaps
+  /// (TokenTimes::for_each_gap), at a cost per batch end and run boundary
+  /// instead of per token.
+  Summary tbt() const {
+    const RunBuckets buckets = bucket_runs();
+    // One slot's run coverage at a time, as differences: +1 at the gap
+    // after a run's first batch, -1 past its last. The feed zeroes it again.
+    std::vector<std::int32_t> diff(buckets.longest + 1, 0);
+    StreamSummary s;
+    while (s.next_pass()) {
+      for (std::size_t g = 0; g < buckets.slots.size(); ++g) {
+        // Two feeds per bucket, each with one sink call, so the sink
+        // inlines.
+        std::pair<std::uint32_t, std::uint32_t> span;
+        s.add_each([&](const auto& sink) {
+          span = cover_bucket(buckets, g, diff, sink);
+        });
+        s.add_each([&](const auto& sink) {
+          feed_slot_gaps(buckets.slots[g], span, diff, sink);
+        });
+      }
+    }
+    return s.summary();
+  }
+
+ private:
+  /// The kept records with two or more tokens, bucketed by timeline slot:
+  /// a record sits once in the bucket of every slot holding one of its
+  /// runs.
+  struct RunBuckets {
+    struct Slot {
+      const TokenTimeline* timeline = nullptr;
+      int slot = 0;
+    };
+    std::vector<Slot> slots;             ///< one per bucket
+    std::vector<std::uint32_t> start;    ///< bucket offsets into members
+    std::vector<std::uint32_t> members;  ///< record indices, bucket by bucket
+    std::size_t longest = 0;  ///< most batch ends of a non-empty bucket
+  };
+
+  const std::vector<TokenTimes::Run>& runs_of(std::uint32_t i) const {
+    return records[i].token_times.runs();
+  }
+
+  /// Add the coverage of bucket `g`'s runs on its slot to `diff`, and feed
+  /// the run boundaries of the records whose first run lies on that slot
+  /// (so each record's once). Returns the span of `diff` written.
+  template <typename Sink>
+  std::pair<std::uint32_t, std::uint32_t> cover_bucket(
+      const RunBuckets& buckets, std::size_t g,
+      std::vector<std::int32_t>& diff, const Sink& sink) const {
+    const TokenTimeline& timeline = *buckets.slots[g].timeline;
+    const auto slot = static_cast<std::uint32_t>(buckets.slots[g].slot);
+    const auto at = [&timeline](std::uint32_t run_slot, std::uint32_t i) {
+      return timeline.times(static_cast<int>(run_slot))[i];
+    };
+    std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
+    const std::uint32_t* const member = buckets.members.data();
+    const std::uint32_t end = buckets.start[g + 1];
+    for (std::uint32_t m = buckets.start[g]; m < end; ++m) {
+      // A bucket's records, and their runs, lie far apart in memory: fetch
+      // a record 16 members ahead and its runs 8 ahead.
+      if (m + 16 < end) __builtin_prefetch(&runs_of(member[m + 16]));
+      if (m + 8 < end) __builtin_prefetch(runs_of(member[m + 8]).data());
+      const std::vector<TokenTimes::Run>& runs = runs_of(member[m]);
+      for (const TokenTimes::Run& run : runs) {
+        if (run.slot != slot || run.count < 2) continue;
+        ++diff[run.first + 1];
+        --diff[run.first + run.count];
+        lo = std::min(lo, run.first + 1);
+        hi = std::max(hi, run.first + run.count);
+      }
+      if (runs.front().slot != slot) continue;
+      for (std::size_t k = 1; k < runs.size(); ++k) {
+        const TokenTimes::Run& a = runs[k - 1];
+        const TokenTimes::Run& b = runs[k];
+        sink(at(b.slot, b.first) - at(a.slot, a.first + a.count - 1),
+             std::uint64_t{1});
+      }
+    }
+    return {lo, hi};
+  }
+
+  /// Feed the gaps of `slot`'s batch ends over `span`, each weighted by its
+  /// coverage, and zero `diff` there again.
+  template <typename Sink>
+  static void feed_slot_gaps(const typename RunBuckets::Slot& slot,
+                             std::pair<std::uint32_t, std::uint32_t> span,
+                             std::vector<std::int32_t>& diff,
+                             const Sink& sink) {
+    const auto [lo, hi] = span;
+    const Seconds* const t = slot.timeline->times(slot.slot).data();
+    std::int32_t weight = 0;
+    for (std::uint32_t j = lo; j < hi; ++j) {
+      weight += diff[j];
+      diff[j] = 0;
+      if (weight != 0)
+        sink(t[j] - t[j - 1], static_cast<std::uint64_t>(weight));
+    }
+    diff[hi] = 0;
+  }
+
+  /// Two walks over the records: count each bucket's records, then place
+  /// them. Records are grouped by timeline pointer, so hand-built records,
+  /// each on a private one-slot timeline, get a bucket each, and copies
+  /// from another collector join their run's buckets.
+  RunBuckets bucket_runs() const {
+    constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+    VIDUR_CHECK(records.size() < kNone);
+    RunBuckets b;
+    std::unordered_map<const TokenTimeline*, std::uint32_t> first_bucket;
+    std::vector<std::uint32_t> seen;  ///< per bucket: last record placed
+    std::vector<std::uint32_t> next;  ///< per bucket: size, then next place
+    const auto walk = [&](const auto& place) {
+      std::fill(seen.begin(), seen.end(), kNone);
+      const TokenTimeline* last = nullptr;
+      std::uint32_t base = 0;
+      for (std::uint32_t i = 0; i < records.size(); ++i) {
+        const RequestRecord& r = records[i];
+        const TokenTimes& times = r.token_times;
+        if (times.size() < 2 || !r.completed() || !keep(r)) continue;
+        if (times.timeline() != last) {
+          last = times.timeline();
+          const auto [it, fresh] = first_bucket.try_emplace(
+              last, static_cast<std::uint32_t>(b.slots.size()));
+          for (int slot = 0; fresh && slot < last->num_slots(); ++slot) {
+            b.slots.push_back({last, slot});
+            seen.push_back(kNone);
+            next.push_back(0);
+          }
+          base = it->second;
+        }
+        for (const TokenTimes::Run& run : times.runs()) {
+          const std::size_t g = base + run.slot;
+          if (seen[g] == i) continue;
+          seen[g] = i;
+          place(g, i);
+        }
+      }
+    };
+    walk([&](std::size_t g, std::uint32_t) { ++next[g]; });
+    b.start.assign(b.slots.size() + 1, 0);
+    for (std::size_t g = 0; g < b.slots.size(); ++g) {
+      b.start[g + 1] = b.start[g] + next[g];
+      next[g] = b.start[g];
+      if (b.start[g + 1] > b.start[g])
+        b.longest = std::max(
+            b.longest, b.slots[g].timeline->times(b.slots[g].slot).size());
+    }
+    b.members.resize(b.start.back());
+    walk([&](std::size_t g, std::uint32_t i) { b.members[next[g]++] = i; });
+    return b;
   }
 };
 

@@ -10,8 +10,16 @@
 //
 // Exactness: each token time reads back as the very double the scheduler
 // stored, in emission order, so every inter-token gap (t[i] - t[i-1]) is the
-// same double a per-token vector would give, and so is every Summary,
-// histogram and SLO verdict computed from them.
+// same double a per-token vector would give, and so is every histogram and
+// SLO verdict computed from them.
+//
+// The gaps inside a run are gaps between consecutive batch ends of its slot,
+// shared by every request that decoded in both batches. So the TBT summary
+// (MetricsCollector::finalize) reads each slot gap once, weighted by the runs
+// spanning it, plus one gap per boundary between a request's runs: the same
+// multiset as the per-token gaps (for_each_gap), at a cost per batch end and
+// run instead of per token. Count, extrema and percentiles come out bit for
+// bit; the mean and stddev sums run in slot order instead of token order.
 #pragma once
 
 #include <algorithm>
@@ -113,6 +121,8 @@ class TokenTimes {
   /// Largest gap between consecutive times; -1 when fewer than two.
   Seconds worst_gap() const { return worst_gap_; }
   const std::vector<Run>& runs() const { return runs_; }
+  /// The timeline the runs index; null until the record is bound.
+  const TokenTimeline* timeline() const { return timeline_.get(); }
 
   /// Forward iteration over the times, in emission order.
   class const_iterator {
@@ -158,7 +168,9 @@ class TokenTimes {
   }
 
   /// Call f(t[i] - t[i-1]) for every consecutive pair of times, in order:
-  /// size() - 1 calls, none for fewer than two times.
+  /// size() - 1 calls, none for fewer than two times. The per-token
+  /// reference for the TBT summary, which reads the same gaps off the
+  /// runs and the timeline as weighted batch gaps.
   template <typename F>
   void for_each_gap(const F& f) const {
     if (runs_.empty()) return;

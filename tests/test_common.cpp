@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -319,6 +321,57 @@ TEST(StreamSummary, GapsOfTimestampsMatchSortOfGaps) {
   }
   EXPECT_GT(passes, 2);
   expect_same_summary(stream.summary(), Summary::of(gaps));
+}
+
+TEST(StreamSummary, WeightedItemsMatchRepeatedSamples) {
+  // An item of weight w stands for w copies of its sample: count, extrema
+  // and every quantile equal the sort over the expanded series bit for
+  // bit, and the sums agree to rounding. Weight-1 items sum exactly as
+  // the series does. Heavy weights put more than the gather bound on one
+  // value, so their prefixes take digit passes; light ones gather.
+  Rng rng(61);
+  struct Case {
+    int items;
+    std::int64_t max_weight;
+  };
+  for (const Case c : {Case{20000, 1}, Case{20000, 3}, Case{4000, 40},
+                       Case{200, 5000}}) {
+    SCOPED_TRACE("max weight " + std::to_string(c.max_weight));
+    std::vector<std::pair<double, std::uint64_t>> items;
+    SampleSeries expanded;
+    for (int i = 0; i < c.items; ++i) {
+      // Batch gaps: a few iteration times, one ulp apart at most, and an
+      // occasional long stall.
+      double x = 0.0125 * static_cast<double>(rng.uniform_int(1, 3));
+      for (std::int64_t k = rng.uniform_int(0, 2); k > 0; --k)
+        x = std::nextafter(x, 1.0);
+      if (rng.uniform() < 0.05) x = rng.lognormal(-1.0, 1.0);
+      const auto w =
+          static_cast<std::uint64_t>(rng.uniform_int(1, c.max_weight));
+      items.emplace_back(x, w);
+      for (std::uint64_t k = 0; k < w; ++k) expanded.add(x);
+    }
+    StreamSummary stream;
+    while (stream.next_pass())
+      stream.add_each([&items](const auto& sink) {
+        for (const auto& [x, w] : items) sink(x, w);
+      });
+    const Summary& got = stream.summary();
+    const Summary want = Summary::of(expanded);
+    if (c.max_weight == 1) {
+      expect_same_summary(got, want);
+      continue;
+    }
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.p50, want.p50);
+    EXPECT_EQ(got.p90, want.p90);
+    EXPECT_EQ(got.p95, want.p95);
+    EXPECT_EQ(got.p99, want.p99);
+    EXPECT_NEAR(got.mean, want.mean, 1e-9 * want.mean);
+    EXPECT_NEAR(got.stddev, want.stddev, 1e-9 * want.stddev);
+  }
 }
 
 TEST(StreamSummary, ChangedStreamIsAnError) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -384,10 +386,9 @@ TEST(TokenTimes, SeededAppendsMatchAPerTokenVector) {
     StreamSummary via_runs, via_vectors;
     while (via_runs.next_pass())
       for (const Model& r : records)
-        if (r.times.size() >= 2)
-          via_runs.add_each(r.times.size() - 1, [&r](const auto& sink) {
-            r.times.for_each_gap(sink);
-          });
+        via_runs.add_each([&r](const auto& sink) {
+          r.times.for_each_gap([&sink](Seconds gap) { sink(gap, 1u); });
+        });
     while (via_vectors.next_pass())
       for (const Model& r : records) via_vectors.add_gaps(r.model);
     expect_same_summary(via_runs.summary(), via_vectors.summary());
@@ -432,6 +433,160 @@ TEST(TokenTimes, CopiesOutliveTheirTimeline) {
   }
   expect_matches_model(copy, {0.0, 0.5, 1.0, 1.5, 2.0});
   EXPECT_EQ(copy.runs().size(), 5u);  // every token changed slot
+}
+
+// ------------------------------------------ TBT from weighted batch gaps
+
+/// Relative bound on the TBT mean and stddev against the per-token
+/// reference: the weighted feed adds the same gaps in slot order, x * w at
+/// a time, so only summation rounding separates the two.
+constexpr double kSumOrderTolerance = 1e-9;
+
+/// The TBT summary over every per-token gap (TokenTimes::for_each_gap) of
+/// the completed records `keep` accepts, sorted.
+template <typename Keep>
+Summary per_token_tbt(const std::vector<RequestRecord>& records,
+                      const Keep& keep) {
+  SampleSeries gaps;
+  for (const RequestRecord& r : records)
+    if (r.completed() && keep(r))
+      r.token_times.for_each_gap([&gaps](Seconds gap) { gaps.add(gap); });
+  return Summary::of(gaps);
+}
+
+/// Count, extrema and percentiles bit for bit; mean and stddev within the
+/// sum-order bound, relative to the gaps' scale.
+void expect_same_tbt(const Summary& got, const Summary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  const double scale = std::abs(want.mean) + want.stddev;
+  EXPECT_NEAR(got.mean, want.mean, kSumOrderTolerance * scale);
+  EXPECT_NEAR(got.stddev, want.stddev, kSumOrderTolerance * scale);
+}
+
+TEST(MetricsCollectorTbt, SeededWeightedGapsMatchPerTokenGaps) {
+  // finalize() reads TBT as batch gaps weighted by the runs spanning them,
+  // plus the gaps between a record's runs; the per-token gaps of the same
+  // records are the reference. Over 200 seeds, records on one shared
+  // multi-slot timeline skip batches of their slot (vLLM's prefill-only
+  // batches), hop slots (hand-offs and retries), pause and emit again
+  // (restarts), stop after 0, 1 or 2 tokens, or never complete (unfinished
+  // or lost), across two tenants; hand-built records, each on a private
+  // timeline, sit between them in the same collector.
+  struct Model {
+    RequestRecord record;
+    int slot = 0;
+    std::size_t limit = 0;  ///< tokens it emits in all
+    int paused = 0;         ///< batches left before it emits again
+  };
+  std::size_t shared_batches = 0, boundaries = 0, hopped = 0, left_out = 0,
+              hand_built = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto pick = [&rng](int n) {
+      return static_cast<int>(rng.uniform_int(0, n - 1));
+    };
+    const int num_slots = 1 + pick(4);
+    const auto timeline = std::make_shared<TokenTimeline>(num_slots);
+    std::vector<Model> models(4 + static_cast<std::size_t>(pick(14)));
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      Model& m = models[i];
+      m.record.id = static_cast<RequestId>(i);
+      m.record.tenant = pick(2);
+      m.slot = pick(num_slots);
+      m.limit = i < 3 ? i : static_cast<std::size_t>(3 + pick(150));
+      if (i % 2 == 0) m.record.token_times.bind(timeline);
+    }
+    Seconds now = rng.uniform(0.0, 100.0);
+    for (int batch = 0; batch < 300; ++batch) {
+      // Iteration times repeat up to rounding; equal ends give zero gaps.
+      now += 0.0125 * static_cast<double>(pick(4));
+      const int slot = pick(num_slots);
+      int emitted = 0;
+      std::uint32_t index = 0;
+      for (Model& m : models) {
+        TokenTimes& times = m.record.token_times;
+        if (times.size() >= m.limit) continue;
+        if (m.paused > 0) {
+          --m.paused;
+          continue;
+        }
+        const double u = rng.uniform();
+        if (u < 0.03) {
+          m.slot = pick(num_slots);  // handed off or retried elsewhere
+        } else if (u < 0.04) {
+          m.paused = 5 + pick(40);  // restarted: re-prefills, then emits
+          continue;
+        }
+        if (m.slot != slot || u > 0.8) continue;  // sits this batch out
+        if (emitted++ == 0) index = timeline->push(slot, now);
+        times.append(timeline, slot, index, now);
+      }
+      shared_batches += emitted >= 2;
+    }
+
+    std::vector<RequestRecord> records;
+    for (Model& m : models) {
+      RequestRecord& r = m.record;
+      const double u = rng.uniform();
+      if (u < 0.1) {
+        r.lost = true;  // out of recovery attempts: never completes
+      } else if (u > 0.2) {
+        r.completed_time = now;
+      }  // else unfinished at the end of the run
+      const std::vector<TokenTimes::Run>& runs = r.token_times.runs();
+      if (!r.completed()) {
+        left_out += r.token_times.size() >= 2;
+      } else if (!runs.empty()) {
+        boundaries += runs.size() - 1;
+        for (const TokenTimes::Run& run : runs)
+          hopped += run.slot != runs.front().slot;
+      }
+      records.push_back(r);
+      if (pick(3) > 0) continue;
+      RequestRecord hand;  // a hand-built record on its private timeline
+      hand.tenant = pick(2);
+      std::vector<Seconds> times;
+      Seconds t = rng.uniform(0.0, 100.0);
+      for (int k = pick(8); k > 0; --k) {
+        t += 0.0125 * static_cast<double>(pick(4));
+        times.push_back(t);
+      }
+      hand.token_times = TokenTimes(times);
+      if (pick(4) > 0) hand.completed_time = t;
+      hand_built += hand.completed() && times.size() >= 2;
+      records.push_back(hand);
+    }
+
+    MetricsCollector collector(num_slots, 1e12, 1);
+    for (const RequestRecord& r : records) collector.record_request(r);
+    const SimulationMetrics m = collector.finalize(now);
+    {
+      SCOPED_TRACE("fleet");
+      expect_same_tbt(m.tbt, per_token_tbt(records, [](const RequestRecord&) {
+                        return true;
+                      }));
+    }
+    for (const SimulationMetrics::TenantMetrics& tenant : m.tenant_metrics) {
+      SCOPED_TRACE(tenant.info.name);
+      expect_same_tbt(tenant.tbt,
+                      per_token_tbt(records, [&tenant](const RequestRecord& r) {
+                        return r.tenant == tenant.info.id;
+                      }));
+    }
+  }
+  // Every shape the weighted feed must get right occurred.
+  EXPECT_GT(shared_batches, 1000u);  // gaps of weight above 1
+  EXPECT_GT(boundaries, 1000u);
+  EXPECT_GT(hopped, 100u);
+  EXPECT_GT(left_out, 100u);
+  EXPECT_GT(hand_built, 100u);
 }
 
 }  // namespace

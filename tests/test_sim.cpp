@@ -920,6 +920,137 @@ TEST(TokenTimeRuns, SarathiSessionChatStoresOneRunPerRequest) {
   EXPECT_GT(counts.tokens, counts.runs);
 }
 
+// ------------------------------------------ TBT from weighted batch gaps
+
+/// Relative bound on the TBT mean and stddev against the per-token
+/// reference: finalize() sums the same gaps in slot order, x * w at a time,
+/// so only summation rounding separates the two.
+constexpr double kSumOrderTolerance = 1e-9;
+
+/// The TBT summary over every per-token gap (TokenTimes::for_each_gap) of
+/// the run's completed records that `keep` accepts, sorted.
+template <typename Keep>
+Summary per_token_tbt(const Simulator& sim, const Keep& keep) {
+  SampleSeries gaps;
+  for (const RequestState& state : sim.request_states()) {
+    const RequestRecord& r = state.record;
+    if (r.completed() && keep(r))
+      r.token_times.for_each_gap([&gaps](Seconds gap) { gaps.add(gap); });
+  }
+  return Summary::of(gaps);
+}
+
+void expect_same_tbt(const Summary& got, const Summary& want,
+                     const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  const double scale = std::abs(want.mean) + want.stddev;
+  EXPECT_NEAR(got.mean, want.mean, kSumOrderTolerance * scale);
+  EXPECT_NEAR(got.stddev, want.stddev, kSumOrderTolerance * scale);
+}
+
+/// The run's fleet and per-tenant TBT summaries against the per-token
+/// gaps: count, extrema and percentiles bit for bit.
+void expect_tbt_matches_per_token_gaps(const Simulator& sim,
+                                       const SimulationMetrics& m) {
+  expect_same_tbt(
+      m.tbt, per_token_tbt(sim, [](const RequestRecord&) { return true; }),
+      "fleet");
+  for (const SimulationMetrics::TenantMetrics& tenant : m.tenant_metrics)
+    expect_same_tbt(tenant.tbt,
+                    per_token_tbt(sim,
+                                  [&tenant](const RequestRecord& r) {
+                                    return r.tenant == tenant.info.id;
+                                  }),
+                    tenant.info.name);
+}
+
+TEST(WeightedTbt, RoundRobinVllmFleetMatchesPerTokenGaps) {
+  // Many runs per request: prefill-only batches break the decoding
+  // requests' runs. The sharded engine runs it (threads = 2).
+  SimulationConfig config = base_config(SchedulerKind::kVllm, 1, 1, 4);
+  config.global_scheduler = GlobalSchedulerKind::kRoundRobin;
+  config.threads = 2;
+  Simulator sim(config, poisson_trace(400, 8.0), reference_factory(config));
+  const SimulationMetrics m = sim.run();
+  ASSERT_EQ(m.num_completed, 400u);
+  EXPECT_GT(check_token_times(sim).runs, 2 * m.num_completed);
+  expect_tbt_matches_per_token_gaps(sim, m);
+}
+
+TEST(WeightedTbt, SarathiSessionChatMatchesPerTokenGaps) {
+  // One run per request, with the prefix cache on, and a tenant row.
+  Scenario scenario = scenario_by_name("session-chat");
+  scenario.num_requests = 300;
+  SimulationConfig config = base_config(SchedulerKind::kSarathi, 1, 1, 2);
+  config.global_scheduler = GlobalSchedulerKind::kLeastOutstanding;
+  config.prefix_cache.enabled = true;
+  config.tenants = scenario.tenant_infos();
+  Simulator sim(config, generate_scenario_trace(scenario, 7),
+                reference_factory(config));
+  const SimulationMetrics m = sim.run();
+  ASSERT_EQ(m.num_completed, 300u);
+  EXPECT_GT(m.prefix_cache.hits, 0);
+  EXPECT_EQ(check_token_times(sim).runs, m.num_completed);
+  EXPECT_FALSE(m.tenant_metrics.empty());
+  expect_tbt_matches_per_token_gaps(sim, m);
+}
+
+TEST(WeightedTbt, SpotChurnWithLossesMatchesPerTokenGaps) {
+  // Spot reclaims and crashes displace requests: a retried request keeps
+  // its earlier tokens and resumes on another replica, and a request out
+  // of recovery attempts is lost, its tokens left out of the summary.
+  Scenario scenario = scenario_by_name("spot-churn");
+  scenario.num_requests = 200;
+  SimulationConfig config = base_config(SchedulerKind::kSarathi, 1, 1, 3);
+  config.global_scheduler = GlobalSchedulerKind::kLeastOutstanding;
+  config.prefix_cache.enabled = true;
+  config.tenants = scenario.tenant_infos();
+  config.autoscale.kind = AutoscalerKind::kReactive;
+  config.autoscale.min_replicas = 2;
+  config.autoscale.initial_replicas = 3;
+  config.autoscale.decision_interval = 2.0;
+  config.autoscale.provision_delay = 2.0;
+  config.autoscale.warmup_delay = 1.0;
+  config.autoscale.target_load_per_replica = 6.0;
+  config.autoscale.scale_up_load = 10.0;
+  config.autoscale.scale_down_load = 0.25;
+  FaultProfile churn;
+  churn.crash_mtbf_s = 12.0;
+  churn.spot_windows = {SpotWindow{20.0, 40.0, 2, 0.0},
+                        SpotWindow{70.0, 30.0, 1, 5.0}};
+  config.faults.seed = 99;
+  config.faults.profiles = {churn};
+  config.faults.recovery.max_attempts = 2;
+  config.faults.recovery.backoff_base_s = 0.25;
+  Simulator sim(config, generate_scenario_trace(scenario, 23),
+                reference_factory(config));
+  const SimulationMetrics m = sim.run();
+  ASSERT_TRUE(m.resilience.enabled);
+  EXPECT_GT(m.resilience.num_lost, 0);
+  std::size_t resumed = 0, lost_with_gaps = 0;
+  for (const RequestState& state : sim.request_states()) {
+    const RequestRecord& r = state.record;
+    const std::vector<TokenTimes::Run>& runs = r.token_times.runs();
+    if (r.completed()) {
+      resumed += std::any_of(runs.begin(), runs.end(), [&](const auto& run) {
+        return run.slot != runs.front().slot;
+      });
+    } else {
+      lost_with_gaps += r.token_times.size() >= 2;
+    }
+  }
+  EXPECT_GT(resumed, 0u);
+  EXPECT_GT(lost_with_gaps, 0u);
+  expect_tbt_matches_per_token_gaps(sim, m);
+}
+
 TEST(DeploymentForms, ShorthandAndPoolsReportTheSameRun) {
   const FormCase cases[] = {
       {"round-robin tp1x4", GlobalSchedulerKind::kRoundRobin,
