@@ -2,7 +2,16 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace vidur {
+
+namespace {
+
+/// The pool whose worker loop runs on this thread (null elsewhere).
+thread_local const ThreadPool* owning_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   num_threads = std::max<std::size_t>(1, num_threads);
@@ -29,12 +38,18 @@ void ThreadPool::submit(std::function<void()> task) {
   task_available_.notify_one();
 }
 
+bool ThreadPool::on_worker() const { return owning_pool == this; }
+
 void ThreadPool::wait_idle() {
+  VIDUR_CHECK_MSG(!on_worker(),
+                  "ThreadPool::wait_idle() called from one of the pool's own "
+                  "tasks would wait for itself");
   std::unique_lock lock(mutex_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
+  owning_pool = this;
   while (true) {
     std::function<void()> task;
     {
@@ -56,8 +71,21 @@ void ThreadPool::worker_loop() {
 
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i) pool.submit([&fn, i] { fn(i); });
-  pool.wait_idle();
+  VIDUR_CHECK_MSG(!pool.on_worker(),
+                  "parallel_for called from one of the pool's own tasks");
+  std::mutex mutex;
+  std::condition_variable done;
+  std::size_t remaining = n;
+  for (std::size_t i = 0; i < n; ++i)
+    pool.submit([&, i] {
+      fn(i);
+      // Notify under the lock: once it is released the caller may return
+      // and destroy `done`.
+      std::lock_guard lock(mutex);
+      if (--remaining == 0) done.notify_one();
+    });
+  std::unique_lock lock(mutex);
+  done.wait(lock, [&] { return remaining == 0; });
 }
 
 namespace {

@@ -28,10 +28,15 @@ class ThreadPool {
   /// Enqueue a task. Tasks must not throw; wrap fallible work yourself.
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
+  /// Block until every submitted task has finished. A VIDUR_CHECK failure
+  /// when called from one of this pool's own tasks, which counts as in
+  /// flight and would wait for itself forever.
   void wait_idle();
 
   std::size_t num_threads() const { return workers_.size(); }
+
+  /// True on one of this pool's worker threads.
+  bool on_worker() const;
 
  private:
   void worker_loop();
@@ -45,7 +50,10 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Run `fn(i)` for i in [0, n) across the pool and wait for completion.
+/// Run `fn(i)` for i in [0, n) across the pool and wait for those n tasks
+/// (not for the rest of the pool's queue). `fn` must not throw. A
+/// VIDUR_CHECK failure when called from one of the pool's own tasks: the
+/// caller would hold a worker while waiting on the others.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

@@ -37,13 +37,17 @@ class RuntimeEstimator {
     /// default does saturate: perfbench's `fleet-rr` (64-replica fleet) and
     /// `search` (Vidur-Search sweep) workloads fill all 32,768 insertable
     /// entries, while `session-cache` stops at 9,192. In a simulation only
-    /// stage-timing memo misses reach the cache (one lookup per operator),
-    /// so what fills it is the set of distinct batch signatures, not the
-    /// call count: one run of each workload's spec looks up 123k
-    /// (`fleet-rr`), 797k (`session-cache`) and 1.08M (`search`) times,
-    /// against 2.58M, 917k and 1.71M with per-replica memos. A miss past
-    /// the cap costs one step-table read for every operator but prefill
-    /// attention.
+    /// stage-timing memo misses reach the cache, so what fills it is the
+    /// set of distinct batch signatures, not the call count. A miss looks
+    /// up at most the five operators that read more than the token count;
+    /// the ten token-count-only ones are looked up only when their memoized
+    /// running sum (StageTimingMemo::Key::token_ops) misses too. One run of
+    /// each workload's spec looks up 67k (`fleet-rr`), 236k
+    /// (`session-cache`) and 358k (`search`) times, of which 47k, 9.2k and
+    /// 166k miss the cache (123k, 797k and 1.08M lookups when every memo
+    /// miss looked up every operator; 2.58M, 917k and 1.71M with
+    /// per-replica memos). A miss past the cap costs one step-table read
+    /// for every operator but prefill attention.
     std::size_t cache_slots = 1 << 16;
   };
 

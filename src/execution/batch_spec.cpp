@@ -28,46 +28,6 @@ BatchAggregates BatchSpec::aggregates() const {
   return agg;
 }
 
-TokenCount BatchSpec::total_q_tokens() const {
-  TokenCount total = 0;
-  for (const auto& item : items) total += item.q_tokens;
-  return total;
-}
-
-int BatchSpec::num_decodes() const {
-  int n = 0;
-  for (const auto& item : items) n += item.is_prefill ? 0 : 1;
-  return n;
-}
-
-int BatchSpec::num_prefills() const { return size() - num_decodes(); }
-
-TokenCount BatchSpec::total_decode_kv() const {
-  TokenCount total = 0;
-  for (const auto& item : items)
-    if (!item.is_prefill) total += item.kv_context + item.q_tokens;
-  return total;
-}
-
-int BatchSpec::tokens_sampled() const {
-  int n = 0;
-  for (const auto& item : items)
-    if (!item.is_prefill || item.completes_prefill) ++n;
-  return n;
-}
-
-TokenCount BatchSpec::prefill_equivalent_length() const {
-  double acc = 0.0;
-  for (const auto& item : items) {
-    if (!item.is_prefill) continue;
-    const double kv_total =
-        static_cast<double>(item.kv_context + item.q_tokens);
-    acc += static_cast<double>(item.q_tokens) * kv_total;
-  }
-  if (acc <= 0.0) return 0;
-  return static_cast<TokenCount>(std::ceil(std::sqrt(acc)));
-}
-
 FlopCount batch_flops(const ModelSpec& model, const BatchAggregates& agg) {
   // flops(t, c) is affine in t and t*c, so the batch sum collapses to the
   // aggregates: sum_i flops(q_i, kv_i) = per_token * total_q

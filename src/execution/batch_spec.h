@@ -30,20 +30,25 @@ struct BatchItem {
 };
 
 /// Per-iteration aggregates of one batch, computed in a single pass over
-/// the items (the individual BatchSpec accessors each re-walk the batch;
-/// the hot paths — FLOP accounting, stage-timing memo keys, HBM accounting
-/// — pull everything they need from one of these instead).
+/// the items. Everything that reads a batch as a whole — FLOP accounting,
+/// stage-timing memo keys, the operator decomposition, HBM accounting —
+/// reads one of these; the simulator freezes it once per batch.
 struct BatchAggregates {
+  /// Total new tokens this iteration (drives all token-level operators).
   TokenCount total_q = 0;
   /// KV entries read by decode attention (context incl. current token).
   TokenCount decode_kv = 0;
   /// Sum over prefill items of q * (kv_context + q): the batched-prefill
   /// attention work (paper §4.3) and the context term of the FLOP count.
   double prefill_qkv = 0.0;
+  /// Number of decode items.
   int decodes = 0;
+  /// Items that produce an output token this iteration (decodes plus
+  /// prompt-completing chunks) — the rows fed to the LM head.
   int sampled = 0;
 
-  /// Equivalent single-prefill length: ceil(sqrt(prefill_qkv)).
+  /// Equivalent single-prefill length for batched prefill attention
+  /// (paper §4.3): ceil(sqrt(prefill_qkv)).
   TokenCount prefill_equivalent_length() const;
 };
 
@@ -53,24 +58,8 @@ struct BatchSpec {
   bool empty() const { return items.empty(); }
   int size() const { return static_cast<int>(items.size()); }
 
-  /// All hot-path aggregates in one walk over the items.
+  /// All aggregates in one walk over the items.
   BatchAggregates aggregates() const;
-
-  /// Total new tokens this iteration (drives all token-level operators).
-  TokenCount total_q_tokens() const;
-  /// Number of decode items.
-  int num_decodes() const;
-  /// Number of prefill-chunk items.
-  int num_prefills() const;
-  /// Total KV entries read by decode attention (sum of per-request context
-  /// including the current token).
-  TokenCount total_decode_kv() const;
-  /// Items that produce an output token this iteration (decodes plus
-  /// prompt-completing chunks) — the rows fed to the LM head.
-  int tokens_sampled() const;
-  /// Equivalent single-prefill length for batched prefill attention
-  /// (paper §4.3): ceil(sqrt(sum_i q_i * kv_total_i)).
-  TokenCount prefill_equivalent_length() const;
 };
 
 /// Model FLOPs consumed by one iteration of this batch (for MFU accounting).

@@ -34,7 +34,7 @@ StageTiming ExecutionTimePredictor::stage_timing(const BatchSpec& batch,
   return stage_timing(batch, batch.aggregates(), stage);
 }
 
-StageTiming ExecutionTimePredictor::stage_timing(const BatchSpec& batch,
+StageTiming ExecutionTimePredictor::stage_timing(const BatchSpec& /*batch*/,
                                                  const BatchAggregates& agg,
                                                  StageId stage) {
   StageTimingMemo::Key key;
@@ -57,17 +57,16 @@ StageTiming ExecutionTimePredictor::stage_timing(const BatchSpec& batch,
     return timing;
   }
   ++timing_misses_;
-  timing = compute_stage_timing(batch, stage);
+  timing = compute_stage_timing(agg, stage);
   memo_->insert(key, timing);
   return timing;
 }
 
 StageTiming ExecutionTimePredictor::compute_stage_timing(
-    const BatchSpec& batch, StageId stage) {
-  decompose_stage_into(op_scratch_, shapes_, parallel_, batch, stage,
-                       AttentionMode::kEquivalentPrefill);
-  StageTiming timing;
-  for (const OpInvocation& inv : op_scratch_) {
+    const BatchAggregates& agg, StageId stage) {
+  const std::size_t token_ops =
+      decompose_stage_into(op_scratch_, shapes_, parallel_, agg, stage);
+  auto add = [&](const OpInvocation& inv, StageTiming& timing) {
     const int shard = op_class(inv.op) == OpClass::kCommunication
                           ? inv.input.world
                           : parallel_.tensor_parallel;
@@ -76,7 +75,20 @@ StageTiming ExecutionTimePredictor::compute_stage_timing(
       timing.comm += t;
     else
       timing.compute += t;
+  };
+  // The leading token-only invocations' running sum is shared by every
+  // batch of this layout, stage and token count; the rest add onto it in
+  // order, exactly as a sum over all invocations would.
+  const StageTimingMemo::Key prefix_key = StageTimingMemo::Key::token_ops(
+      stage, parallel_.tensor_parallel, parallel_.pipeline_parallel,
+      agg.total_q);
+  StageTiming timing;
+  if (!memo_->lookup(prefix_key, &timing)) {
+    for (std::size_t i = 0; i < token_ops; ++i) add(op_scratch_[i], timing);
+    memo_->insert(prefix_key, timing);
   }
+  for (std::size_t i = token_ops; i < op_scratch_.size(); ++i)
+    add(op_scratch_[i], timing);
   return timing;
 }
 

@@ -97,6 +97,9 @@ class ExecutionBackend {
 /// The memo is either shared (VidurSession passes its per-SKU table, so
 /// every replica and every search probe reuses the same entries) or, when
 /// none is given, a private table of StageTimingMemo::kPrivateEntries.
+/// A miss reads the aggregates once and takes the running sum of the
+/// token-count-only operators from the same memo (StageTimingMemo::Key::
+/// token_ops), predicting it only on that entry's own miss.
 class ExecutionTimePredictor final : public ExecutionBackend {
  public:
   /// `estimator` must outlive this object (shared across simulations so the
@@ -119,12 +122,13 @@ class ExecutionTimePredictor final : public ExecutionBackend {
                                   StageId stage) override;
 
   /// This predictor's memo traffic (hits + misses == stage_timing calls),
-  /// whether its memo is shared or private.
+  /// whether its memo is shared or private. Token-operator lookups on the
+  /// miss path are not stage_timing calls and count in neither.
   std::size_t timing_cache_hits() const { return timing_hits_; }
   std::size_t timing_cache_misses() const { return timing_misses_; }
 
  private:
-  StageTiming compute_stage_timing(const BatchSpec& batch, StageId stage);
+  StageTiming compute_stage_timing(const BatchAggregates& agg, StageId stage);
 
   const RuntimeEstimator* estimator_;
   OpShapes shapes_;

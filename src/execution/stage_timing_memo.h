@@ -8,6 +8,12 @@
 // key). Replicas of a fleet and successive probes mostly run the same batch
 // shapes, so one shared table turns most of their lookups into hits.
 //
+// A second key kind serves the miss path: the running sum of a stage's
+// leading token-count-only operators (Key::token_ops), a function of the
+// layout, the stage and the batch's total q tokens. A miss adds the other
+// operators to it in order, and 0.0 + x is exact, so the timing comes out
+// bit-identical to summing every operator afresh.
+//
 // Layout: 4-way set-associative, one 64-byte slot per entry, with a
 // round-robin victim per set. A full set evicts; nothing grows.
 //
@@ -61,6 +67,23 @@ class StageTimingMemo {
     TokenCount q_tokens = 0;
     TokenCount prefill_eq = 0;
     TokenCount decode_kv_bucket = 0;
+
+    /// Marks a token-operator key: batch signatures count decodes >= 0.
+    static constexpr std::int32_t kTokenOps = -1;
+
+    /// The key of the running sum of the token-count-only invocations that
+    /// lead `stage`'s decomposition (see decompose_stage_into), stored as
+    /// the compute part of a StageTiming with zero comm.
+    static Key token_ops(std::int32_t stage, std::int32_t tensor_parallel,
+                         std::int32_t pipeline_parallel, TokenCount q_tokens) {
+      Key key;
+      key.stage = stage;
+      key.tensor_parallel = tensor_parallel;
+      key.pipeline_parallel = pipeline_parallel;
+      key.decodes = kTokenOps;
+      key.q_tokens = q_tokens;
+      return key;
+    }
   };
 
   /// Entries of the table VidurSession shares per SKU (2 MiB).

@@ -11,24 +11,27 @@ std::vector<OpInvocation> decompose_stage(const OpShapes& shapes,
   return ops;
 }
 
-void decompose_stage_into(std::vector<OpInvocation>& ops,
-                          const OpShapes& shapes,
-                          const ParallelConfig& parallel,
-                          const BatchSpec& batch, StageId stage,
-                          AttentionMode mode) {
+namespace {
+
+/// The one op list. With `per_request` null, batched prefill attention is
+/// the single equivalent prefill read off `agg`; otherwise it is one kernel
+/// per prefill item of `*per_request` (whose aggregates `agg` must be).
+std::size_t emit_stage_ops(std::vector<OpInvocation>& ops,
+                           const OpShapes& shapes,
+                           const ParallelConfig& parallel,
+                           const BatchAggregates& agg, StageId stage,
+                           const BatchSpec* per_request) {
   VIDUR_CHECK(stage >= 0 && stage < parallel.pipeline_parallel);
-  VIDUR_CHECK(!batch.empty());
 
   const ModelSpec& model = shapes.model();
   const int layers = parallel.layers_per_stage(model, stage);
   const int tp = parallel.tensor_parallel;
-  const TokenCount t = batch.total_q_tokens();
+  const TokenCount t = agg.total_q;
   VIDUR_CHECK(t > 0);
 
   ops.clear();
-  ops.reserve(16 + (mode == AttentionMode::kPerRequest
-                        ? batch.items.size()
-                        : std::size_t{1}));
+  ops.reserve(16 + (per_request != nullptr ? per_request->items.size()
+                                           : std::size_t{1}));
 
   auto token_op = [&](OpType op, int count) {
     OpInput in;
@@ -51,10 +54,11 @@ void decompose_stage_into(std::vector<OpInvocation>& ops,
   token_op(OpType::kActMul, layers);
   token_op(OpType::kMlpDownProj, layers);
   token_op(OpType::kResidualAdd, 2 * layers);
+  const std::size_t token_only = ops.size();
 
   // Sequence-level attention.
-  if (mode == AttentionMode::kEquivalentPrefill) {
-    const TokenCount eq = batch.prefill_equivalent_length();
+  if (per_request == nullptr) {
+    const TokenCount eq = agg.prefill_equivalent_length();
     if (eq > 0) {
       OpInput in;
       in.q_tokens = eq;
@@ -62,7 +66,7 @@ void decompose_stage_into(std::vector<OpInvocation>& ops,
       ops.push_back({OpType::kAttnPrefill, in, layers});
     }
   } else {
-    for (const auto& item : batch.items) {
+    for (const auto& item : per_request->items) {
       if (!item.is_prefill) continue;
       OpInput in;
       in.q_tokens = item.q_tokens;
@@ -70,11 +74,10 @@ void decompose_stage_into(std::vector<OpInvocation>& ops,
       ops.push_back({OpType::kAttnPrefill, in, layers});
     }
   }
-  const int decodes = batch.num_decodes();
-  if (decodes > 0) {
+  if (agg.decodes > 0) {
     OpInput in;
-    in.kv_tokens = batch.total_decode_kv();
-    in.batch_size = decodes;
+    in.kv_tokens = agg.decode_kv;
+    in.batch_size = agg.decodes;
     ops.push_back({OpType::kAttnDecode, in, layers});
   }
 
@@ -88,13 +91,12 @@ void decompose_stage_into(std::vector<OpInvocation>& ops,
   }
 
   if (last_stage) {
-    const int sampled = batch.tokens_sampled();
-    if (sampled > 0) {
+    if (agg.sampled > 0) {
       OpInput norm_in;
-      norm_in.tokens = sampled;
+      norm_in.tokens = agg.sampled;
       ops.push_back({OpType::kRmsNorm, norm_in, 1});
       OpInput head_in;
-      head_in.tokens = sampled;
+      head_in.tokens = agg.sampled;
       ops.push_back({OpType::kLmHead, head_in, 1});
     }
   } else {
@@ -103,6 +105,26 @@ void decompose_stage_into(std::vector<OpInvocation>& ops,
     in.bytes = shapes.send_recv_bytes(t);
     ops.push_back({OpType::kSendRecv, in, 1});
   }
+  return token_only;
+}
+
+}  // namespace
+
+void decompose_stage_into(std::vector<OpInvocation>& ops,
+                          const OpShapes& shapes,
+                          const ParallelConfig& parallel,
+                          const BatchSpec& batch, StageId stage,
+                          AttentionMode mode) {
+  VIDUR_CHECK(!batch.empty());
+  emit_stage_ops(ops, shapes, parallel, batch.aggregates(), stage,
+                 mode == AttentionMode::kPerRequest ? &batch : nullptr);
+}
+
+std::size_t decompose_stage_into(std::vector<OpInvocation>& ops,
+                                 const OpShapes& shapes,
+                                 const ParallelConfig& parallel,
+                                 const BatchAggregates& agg, StageId stage) {
+  return emit_stage_ops(ops, shapes, parallel, agg, stage, nullptr);
 }
 
 }  // namespace vidur

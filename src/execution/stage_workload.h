@@ -9,6 +9,7 @@
 // the reference executes each request's attention individually.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "execution/batch_spec.h"
@@ -50,5 +51,16 @@ void decompose_stage_into(std::vector<OpInvocation>& ops,
                           const ParallelConfig& parallel,
                           const BatchSpec& batch, StageId stage,
                           AttentionMode mode);
+
+/// The kEquivalentPrefill decomposition read off a batch's aggregates
+/// (the batch form computes them and delegates here), so callers that
+/// froze them skip walking the items. Returns how many leading invocations
+/// depend on nothing but `agg.total_q` (given the layout and the stage):
+/// the embedding on stage 0 and the per-layer token operators. The
+/// stage-timing memo keeps their running sum under its own key.
+std::size_t decompose_stage_into(std::vector<OpInvocation>& ops,
+                                 const OpShapes& shapes,
+                                 const ParallelConfig& parallel,
+                                 const BatchAggregates& agg, StageId stage);
 
 }  // namespace vidur

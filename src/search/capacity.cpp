@@ -1,8 +1,11 @@
 #include "search/capacity.h"
 
 #include <algorithm>
+#include <exception>
+#include <optional>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace vidur {
 
@@ -82,11 +85,68 @@ double offline_throughput_qps(VidurSession& session,
   }
 }
 
+namespace {
+
+/// The serial bracket-and-bisect search as a state machine over
+/// (phase, step, lo, hi, q). next() is the rate the serial search probes
+/// next (nullopt once it is over); apply() moves past that probe given its
+/// verdict. Bracketing steps down from 0.95x the offline bound by 0.6x
+/// until a probe passes, then bisection halves [lo, hi].
+struct CapacityBisection {
+  const CapacitySearchOptions* options;
+  bool bracketing = true;
+  int step = 0;
+  double lo = 0.0;
+  double hi;
+  double q;
+
+  CapacityBisection(double offline_qps, const CapacitySearchOptions& opts)
+      : options(&opts), hi(offline_qps), q(offline_qps * 0.95) {}
+
+  std::optional<double> next() const {
+    if (bracketing)
+      return step < options->max_bracket_steps ? std::optional(q)
+                                               : std::nullopt;
+    return step < options->binary_search_iters
+               ? std::optional(0.5 * (lo + hi))
+               : std::nullopt;
+  }
+
+  void apply(bool ok) {
+    if (bracketing && ok) {
+      lo = q;
+      bracketing = false;
+      step = 0;
+    } else if (bracketing) {
+      hi = q;
+      q *= 0.6;
+      ++step;
+    } else {
+      (ok ? lo : hi) = 0.5 * (lo + hi);
+      ++step;
+    }
+  }
+
+  /// Some probe passed: bracketing ended in a sustainable rate.
+  bool found() const { return !bracketing; }
+};
+
+/// One probe's outcome. A vidur::Error (infeasible deployment) leaves it
+/// uncounted and failing; any other exception is kept for the caller.
+struct ProbeOutcome {
+  bool counted = false;
+  bool ok = false;
+  SimulationMetrics metrics;
+  std::exception_ptr other;
+};
+
+}  // namespace
+
 CapacityResult find_capacity(VidurSession& session,
                              const DeploymentConfig& config,
                              const TraceSpec& workload,
                              const CapacitySearchOptions& options,
-                             double offline_qps_hint) {
+                             double offline_qps_hint, ThreadPool* pool) {
   CapacityResult result;
   const int n = options.probe_requests(config);
   const ProbeTrace probe = make_probe_trace(workload, n, options.trace_seed);
@@ -100,51 +160,55 @@ CapacityResult find_capacity(VidurSession& session,
     if (offline_qps <= 0.0) return result;
   }
 
-  auto run_probe = [&](double qps) -> std::pair<bool, SimulationMetrics> {
-    SimulationMetrics m;
+  // Pool tasks must not throw, so every outcome, exceptions included, is
+  // captured here and acted on by the replay below.
+  auto run_probe = [&](double qps, ProbeOutcome& out) {
     try {
-      m = session.simulate(config, probe.at_qps(qps));
+      out.metrics = session.simulate(config, probe.at_qps(qps));
+      out.counted = true;
+      out.ok = probe_feasible(out.metrics, n, options);
     } catch (const Error&) {
-      return {false, std::move(m)};
+    } catch (...) {
+      out.other = std::current_exception();
     }
-    ++result.num_probes;
-    return {probe_feasible(m, n, options), std::move(m)};
   };
 
-  // Bracket the capacity downward from the offline upper bound.
-  double lo = 0.0, hi = offline_qps;
+  const std::size_t width = pool == nullptr ? 1 : pool->num_threads();
+  CapacityBisection search(offline_qps, options);
   SimulationMetrics lo_metrics;
-  {
-    double q = offline_qps * 0.95;
-    bool found = false;
-    for (int i = 0; i < options.max_bracket_steps; ++i) {
-      auto [ok, m] = run_probe(q);
-      if (ok) {
-        lo = q;
-        lo_metrics = std::move(m);
-        found = true;
-        break;
-      }
-      hi = q;
-      q *= 0.6;
+  std::vector<double> rates;
+  std::vector<ProbeOutcome> outcomes;
+  while (search.next()) {
+    // The next probe, then the ones the serial search runs after it if
+    // each one passes.
+    rates.clear();
+    for (CapacityBisection ahead = search; rates.size() < width;
+         ahead.apply(true)) {
+      const std::optional<double> q = ahead.next();
+      if (!q) break;
+      rates.push_back(*q);
     }
-    if (!found) return result;  // no sustainable rate found
-  }
-
-  // Refine by binary search.
-  for (int i = 0; i < options.binary_search_iters; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    auto [ok, m] = run_probe(mid);
-    if (ok) {
-      lo = mid;
-      lo_metrics = std::move(m);
+    outcomes.assign(rates.size(), ProbeOutcome{});
+    if (rates.size() == 1) {
+      run_probe(rates[0], outcomes[0]);
     } else {
-      hi = mid;
+      parallel_for(*pool, rates.size(),
+                   [&](std::size_t j) { run_probe(rates[j], outcomes[j]); });
+    }
+    // Replay the serial decisions. Probes after the first failure assumed
+    // it would pass: they are discarded, neither counted nor kept.
+    for (ProbeOutcome& out : outcomes) {
+      if (out.other) std::rethrow_exception(out.other);
+      if (out.counted) ++result.num_probes;
+      search.apply(out.ok);
+      if (!out.ok) break;
+      lo_metrics = std::move(out.metrics);
     }
   }
+  if (!search.found()) return result;  // no sustainable rate found
 
   result.feasible = true;
-  result.capacity_qps = lo;
+  result.capacity_qps = search.lo;
   result.metrics_at_capacity = std::move(lo_metrics);
   return result;
 }

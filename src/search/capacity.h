@@ -10,6 +10,8 @@
 
 namespace vidur {
 
+class ThreadPool;
+
 struct CapacitySearchOptions {
   /// Minimum requests per probe simulation.
   int num_requests = 300;
@@ -58,10 +60,21 @@ double offline_throughput_qps(VidurSession& session,
 /// pool) yield `feasible == false` rather than throwing.
 /// `offline_qps_hint` > 0 skips the internal offline probe (pass the value
 /// from offline_throughput_qps to avoid duplicate work).
+///
+/// With a `pool` of k > 1 workers, each round runs the next probe together
+/// with the k - 1 probes the serial search would run after it if each one
+/// passed, on the pool's workers, then applies their verdicts in serial
+/// order and discards everything after the first failure. The result,
+/// `num_probes` (serial probes only) and `metrics_at_capacity` are the
+/// serial search's at any k; the session's simulation counters do include
+/// the discarded probes, which did run. Must not be called from one of the
+/// pool's own tasks; null, or a one-worker pool, probes on the calling
+/// thread.
 CapacityResult find_capacity(VidurSession& session,
                              const DeploymentConfig& config,
                              const TraceSpec& workload,
                              const CapacitySearchOptions& options,
-                             double offline_qps_hint = 0.0);
+                             double offline_qps_hint = 0.0,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace vidur

@@ -54,16 +54,17 @@ std::vector<ConfigEvaluation> SearchResult::pareto_frontier(
 
 namespace {
 
+/// `pool` runs find_capacity's speculative probes; null probes serially.
 ConfigEvaluation evaluate_config(VidurSession& session,
                                  const DeploymentConfig& config,
                                  const TraceSpec& workload,
                                  const VidurSearchOptions& options,
-                                 double offline_qps) {
+                                 double offline_qps, ThreadPool* pool) {
   ConfigEvaluation eval;
   eval.config = config;
   eval.cost_per_hour = config.cost_per_hour();
-  const CapacityResult cap = find_capacity(session, config, workload,
-                                           options.capacity, offline_qps);
+  const CapacityResult cap = find_capacity(
+      session, config, workload, options.capacity, offline_qps, pool);
   eval.num_probes = cap.num_probes;
   if (cap.feasible) {
     eval.feasible = true;
@@ -109,9 +110,12 @@ SearchResult run_search(VidurSession& session, const SearchSpace& space,
   });
 
   if (!options.prune) {
+    // Each config's search already runs on its own worker, so its probes
+    // stay on that worker (a task must not wait on its own pool).
     parallel_for(pool, configs.size(), [&](std::size_t i) {
-      result.evaluations[i] = evaluate_config(session, configs[i], workload,
-                                              options, offline_qps[i]);
+      result.evaluations[i] =
+          evaluate_config(session, configs[i], workload, options,
+                          offline_qps[i], /*pool=*/nullptr);
       ++result.evaluations[i].num_probes;  // the offline probe
     });
     return result;
@@ -119,7 +123,9 @@ SearchResult run_search(VidurSession& session, const SearchSpace& space,
 
   // Phase 2 (branch and bound): visit configs in descending upper-bound
   // QPS/$ order; skip a config when even its upper bound cannot beat the
-  // best capacity QPS/$ already found. Exact for the optimum.
+  // best capacity QPS/$ already found. Exact for the optimum. The visit is
+  // serial, so the pool's workers run each capacity search's speculative
+  // probes instead; the outcome does not depend on the worker count.
   std::vector<std::size_t> order(configs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -139,7 +145,7 @@ SearchResult run_search(VidurSession& session, const SearchSpace& space,
       continue;
     }
     eval = evaluate_config(session, configs[i], workload, options,
-                           offline_qps[i]);
+                           offline_qps[i], &pool);
     ++eval.num_probes;  // the offline probe
     if (eval.feasible)
       best_qps_per_dollar = std::max(best_qps_per_dollar, eval.qps_per_dollar);

@@ -46,7 +46,11 @@ struct VidurSearchOptions {
   /// the capacity operating point.
   SloSpec slo{2.0, 0.2};
   /// Worker threads (the paper parallelizes per-config searches across
-  /// 96 CPU cores). 0 = hardware concurrency.
+  /// 96 CPU cores). The offline probes, and without pruning whole capacity
+  /// searches, run one config per worker; branch and bound visits configs
+  /// serially and runs each capacity search's speculative probes on the
+  /// workers (see find_capacity). Results do not depend on this count.
+  /// 0 = hardware concurrency.
   int num_threads = 0;
   /// Branch-and-bound pruning: a config's offline throughput is an upper
   /// bound on its capacity, so configs whose offline QPS/$ cannot beat the

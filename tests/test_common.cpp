@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -464,6 +466,61 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   ThreadPool pool(2);
   pool.wait_idle();  // must not deadlock
   SUCCEED();
+}
+
+TEST(ThreadPool, WaitingFromOwnTaskFailsTheCheckInsteadOfHanging) {
+  // The calling task counts as in flight: wait_idle() would wait for it
+  // forever, and parallel_for would hold a worker while waiting on the rest.
+  ThreadPool pool(2);
+  ThreadPool other(1);
+  std::atomic<int> caught{0};
+  std::atomic<bool> other_pool_ok{false};
+  pool.submit([&] {
+    try {
+      pool.wait_idle();
+    } catch (const Error&) {
+      ++caught;
+    }
+    try {
+      parallel_for(pool, 2, [](std::size_t) {});
+    } catch (const Error&) {
+      ++caught;
+    }
+    // Another pool's waits stay legal from here.
+    parallel_for(other, 3, [](std::size_t) {});
+    other.wait_idle();
+    other_pool_ok = true;
+  });
+  pool.wait_idle();
+  EXPECT_EQ(caught.load(), 2);
+  EXPECT_TRUE(other_pool_ok.load());
+  EXPECT_FALSE(pool.on_worker());
+}
+
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnTasks) {
+  // One worker is held by an unrelated task; parallel_for returns once its
+  // own tasks are done, while that task still runs.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> blocker_done{false};
+  pool.submit([&] {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return release; });
+    blocker_done = true;
+  });
+  std::vector<std::atomic<int>> hits(20);
+  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_FALSE(blocker_done.load());
+  {
+    std::lock_guard lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  EXPECT_TRUE(blocker_done.load());
 }
 
 // ------------------------------------------------------------------- json

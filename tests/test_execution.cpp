@@ -27,34 +27,36 @@ TEST(BatchSpec, TokenAccounting) {
   BatchSpec batch;
   batch.items = {prefill_item(0, 100), prefill_item(1, 50, 200, false),
                  decode_item(2, 300), decode_item(3, 40)};
+  const BatchAggregates agg = batch.aggregates();
   EXPECT_EQ(batch.size(), 4);
-  EXPECT_EQ(batch.total_q_tokens(), 152);
-  EXPECT_EQ(batch.num_decodes(), 2);
-  EXPECT_EQ(batch.num_prefills(), 2);
-  EXPECT_EQ(batch.total_decode_kv(), 301 + 41);
+  EXPECT_EQ(agg.total_q, 152);
+  EXPECT_EQ(agg.decodes, 2);
+  EXPECT_EQ(batch.size() - agg.decodes, 2);  // prefill chunks
+  EXPECT_EQ(agg.decode_kv, 301 + 41);
   // Sampled: 2 decodes + 1 completing prefill.
-  EXPECT_EQ(batch.tokens_sampled(), 3);
+  EXPECT_EQ(agg.sampled, 3);
 }
 
 TEST(BatchSpec, PrefillEquivalentLengthMatchesPaperFormula) {
   // Paper §4.3: batch of prefills p_i ~ one prefill of sqrt(sum p_i^2).
   BatchSpec batch;
   batch.items = {prefill_item(0, 300), prefill_item(1, 400)};
-  EXPECT_EQ(batch.prefill_equivalent_length(), 500);  // 3-4-5 triangle
+  EXPECT_EQ(batch.aggregates().prefill_equivalent_length(),
+            500);  // 3-4-5 triangle
 }
 
 TEST(BatchSpec, PrefillEquivalentAccountsForChunkPrefix) {
   // A chunk of q tokens attending over kv context contributes q*kv work.
   BatchSpec batch;
   batch.items = {prefill_item(0, 100, 300, false)};  // kv_total = 400
-  EXPECT_EQ(batch.prefill_equivalent_length(),
+  EXPECT_EQ(batch.aggregates().prefill_equivalent_length(),
             static_cast<TokenCount>(std::ceil(std::sqrt(100.0 * 400.0))));
 }
 
 TEST(BatchSpec, DecodeOnlyBatchHasZeroEquivalent) {
   BatchSpec batch;
   batch.items = {decode_item(0, 100)};
-  EXPECT_EQ(batch.prefill_equivalent_length(), 0);
+  EXPECT_EQ(batch.aggregates().prefill_equivalent_length(), 0);
 }
 
 TEST(BatchSpec, FlopsPositiveAndMonotone) {

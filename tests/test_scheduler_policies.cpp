@@ -209,7 +209,7 @@ TEST(FasterTransformer, DecodesRunInLockstep) {
   h.step();  // prefill both
   const BatchSpec decodes = h.step();
   EXPECT_EQ(decodes.size(), 2);
-  EXPECT_EQ(decodes.num_decodes(), 2);
+  EXPECT_EQ(decodes.aggregates().decodes, 2);
 }
 
 TEST(FasterTransformer, ReservesFullSequenceUpFront) {
@@ -238,8 +238,8 @@ TEST(Orca, DecodesJoinNewPrefills) {
   h.add(60, 10);
   const BatchSpec mixed = h.step();  // r1 prefill + r0 decode
   EXPECT_EQ(mixed.size(), 2);
-  EXPECT_EQ(mixed.num_prefills(), 1);
-  EXPECT_EQ(mixed.num_decodes(), 1);
+  EXPECT_EQ(mixed.size() - mixed.aggregates().decodes, 1);  // prefills
+  EXPECT_EQ(mixed.aggregates().decodes, 1);
 }
 
 TEST(Orca, RespectsIterationTokenCap) {
@@ -263,7 +263,7 @@ TEST(Vllm, PrefillsPauseDecodes) {
   EXPECT_TRUE(batch.items[0].is_prefill);
   EXPECT_EQ(batch.items[0].request, 1);
   const BatchSpec decodes = h.step();
-  EXPECT_EQ(decodes.num_decodes(), 2);
+  EXPECT_EQ(decodes.aggregates().decodes, 2);
 }
 
 TEST(Vllm, PreemptsOnKvExhaustionAndRestarts) {
@@ -315,8 +315,8 @@ TEST(Sarathi, BudgetSharedBetweenDecodesAndChunks) {
   const BatchSpec mixed = h.step();
   // r0 decode (1 token) + r1 chunk (63 tokens) == 64 budget.
   ASSERT_EQ(mixed.size(), 2);
-  EXPECT_EQ(mixed.total_q_tokens(), 64);
-  EXPECT_EQ(mixed.num_decodes(), 1);
+  EXPECT_EQ(mixed.aggregates().total_q, 64);
+  EXPECT_EQ(mixed.aggregates().decodes, 1);
 }
 
 TEST(Sarathi, DecodesNeverPaused) {
@@ -338,7 +338,7 @@ TEST(Sarathi, NeverExceedsChunkBudget) {
   for (int i = 0; i < 10; ++i) h.add(300, 20);
   while (h.scheduler().has_work()) {
     const BatchSpec batch = h.step();
-    EXPECT_LE(batch.total_q_tokens(), 128);
+    EXPECT_LE(batch.aggregates().total_q, 128);
   }
 }
 
@@ -522,7 +522,7 @@ TEST(DisaggPrefill, BatchesChunksAcrossRequests) {
   h.add(64, 5);
   const BatchSpec batch = h.schedule(0.0);
   EXPECT_EQ(batch.size(), 2);  // both prompts fit one 128-token budget
-  EXPECT_EQ(batch.total_q_tokens(), 128);
+  EXPECT_EQ(batch.aggregates().total_q, 128);
 }
 
 /// Enqueue a request that looks like a completed prefill hand-off.

@@ -2,6 +2,13 @@
 // exactness, SLO filtering and Pareto frontiers (Vidur-Search, paper §6).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.h"
 #include "search/search.h"
 
 namespace vidur {
@@ -172,7 +179,182 @@ TEST(Capacity, ProbeFeasibilityCriteria) {
   EXPECT_FALSE(probe_feasible(m, 100, options));
 }
 
+/// The run's metrics without the estimator-cache counters: they are
+/// deltas of the session-wide estimator's counters, so they depend on what
+/// earlier and concurrent probes left in its cache.
+SimulationMetrics without_estimator_counters(SimulationMetrics m) {
+  m.estimator_cache_hits = 0;
+  m.estimator_cache_misses = 0;
+  std::erase_if(m.registry.counters, [](const auto& c) {
+    return c.name.rfind("estimator.", 0) == 0;
+  });
+  return m;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// A delay bound the single replica misses near its offline bound: the
+/// bracket steps down, and bisection passes, then fails to the end.
+CapacitySearchOptions tight_capacity() {
+  CapacitySearchOptions options = fast_capacity();
+  options.max_p99_scheduling_delay = 0.1;
+  options.binary_search_iters = 6;
+  return options;
+}
+
+DeploymentConfig sarathi_a100() {
+  DeploymentConfig config;
+  config.sku_name = "a100";
+  config.parallel = ParallelConfig{1, 1, 1};
+  config.scheduler.kind = SchedulerKind::kSarathi;
+  config.scheduler.max_batch_size = 32;
+  return config;
+}
+
+TEST(Capacity, SpeculativeProbesReplayTheSerialSearch) {
+  // Every case against the serial search (no pool) at 2, 3 and 4 workers:
+  // same verdict, capacity bit for bit, serial probe count, and the metrics
+  // of the last passing probe on the serial path.
+  VidurSession session70(model_by_name("llama2-70b"), fast_session_options());
+  const double offline = offline_throughput_qps(
+      shared_session(), sarathi_a100(), trace_by_name("chat1m"),
+      fast_capacity());
+  ASSERT_GT(offline, 0.0);
+  struct Case {
+    const char* name;
+    VidurSession* session;
+    CapacitySearchOptions options;
+    double hint;
+  };
+  const CapacitySearchOptions tight = tight_capacity();
+  CapacitySearchOptions no_bisection = fast_capacity();
+  no_bisection.binary_search_iters = 0;
+  CapacitySearchOptions one_bracket = fast_capacity();
+  one_bracket.max_bracket_steps = 1;
+  CapacitySearchOptions tight_one_bracket = tight;
+  tight_one_bracket.max_bracket_steps = 1;
+  const std::vector<Case> cases = {
+      {"all-pass", &shared_session(), fast_capacity(), 0.0},
+      {"all-pass with hint", &shared_session(), fast_capacity(), offline},
+      {"tight delay", &shared_session(), tight, offline},
+      {"70B on one A100", &session70, fast_capacity(), 0.0},
+      {"70B on one A100, probes throw", &session70, fast_capacity(), 1.0},
+      {"binary_search_iters 0", &shared_session(), no_bisection, offline},
+      {"max_bracket_steps 1", &shared_session(), one_bracket, offline},
+      {"max_bracket_steps 1, tight", &shared_session(), tight_one_bracket,
+       offline},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const CapacityResult serial =
+        find_capacity(*c.session, sarathi_a100(), trace_by_name("chat1m"),
+                      c.options, c.hint, nullptr);
+    for (const std::size_t workers : {2u, 3u, 4u}) {
+      SCOPED_TRACE(testing::Message() << workers << " workers");
+      ThreadPool pool(workers);
+      const CapacityResult spec =
+          find_capacity(*c.session, sarathi_a100(), trace_by_name("chat1m"),
+                        c.options, c.hint, &pool);
+      EXPECT_EQ(spec.feasible, serial.feasible);
+      EXPECT_EQ(bits(spec.capacity_qps), bits(serial.capacity_qps));
+      EXPECT_EQ(spec.num_probes, serial.num_probes);
+      EXPECT_EQ(without_estimator_counters(spec.metrics_at_capacity),
+                without_estimator_counters(serial.metrics_at_capacity));
+    }
+  }
+}
+
+TEST(Capacity, TightDelayStepsDownAndMixesBisectionVerdicts) {
+  // The tight case above must exercise failures. Replaying the serial
+  // search against its result recovers every verdict (a probe passed iff
+  // the capacity is at or above its rate): the bracket steps down, and
+  // bisection passes, then fails at least twice after its last pass, so
+  // speculative probes are discarded after the last passing one.
+  const CapacitySearchOptions tight = tight_capacity();
+  const double offline = offline_throughput_qps(
+      shared_session(), sarathi_a100(), trace_by_name("chat1m"), tight);
+  const CapacityResult cap = find_capacity(
+      shared_session(), sarathi_a100(), trace_by_name("chat1m"), tight,
+      offline);
+  ASSERT_TRUE(cap.feasible);
+  double lo = offline * 0.95, hi = offline;
+  int bracket_failures = 0;
+  while (cap.capacity_qps < lo) {
+    hi = lo;
+    lo *= 0.6;
+    ++bracket_failures;
+  }
+  std::string verdicts;
+  for (int i = 0; i < tight.binary_search_iters; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    const bool pass = cap.capacity_qps >= mid;
+    verdicts += pass ? 'P' : 'F';
+    (pass ? lo : hi) = mid;
+  }
+  EXPECT_EQ(lo, cap.capacity_qps);
+  EXPECT_GE(bracket_failures, 1);
+  EXPECT_EQ(cap.num_probes, 1 + bracket_failures + tight.binary_search_iters);
+  EXPECT_NE(verdicts.find('P'), std::string::npos) << verdicts;
+  EXPECT_EQ(verdicts.substr(verdicts.size() - 2), "FF") << verdicts;
+}
+
+TEST(Capacity, ProbeFromTheSearchPoolsOwnTaskIsRejected) {
+  // A capacity search handed the pool it runs on would wait on itself.
+  ThreadPool pool(2);
+  std::atomic<bool> rejected{false};
+  pool.submit([&] {
+    try {
+      find_capacity(shared_session(), sarathi_a100(), trace_by_name("chat1m"),
+                    fast_capacity(), 1.0, &pool);
+    } catch (const Error&) {
+      rejected = true;
+    }
+  });
+  pool.wait_idle();
+  EXPECT_TRUE(rejected.load());
+}
+
 // ----------------------------------------------------------------- search
+
+TEST(Search, ResultsDoNotDependOnTheWorkerCount) {
+  SearchSpace space = tiny_space();
+  space.batch_sizes = {32, 64};
+  VidurSearchOptions options;
+  options.capacity = fast_capacity();
+  options.prune = true;
+  std::vector<SearchResult> results;
+  for (const int threads : {1, 2, 3, 4}) {
+    options.num_threads = threads;
+    results.push_back(run_search(shared_session(), space,
+                                 trace_by_name("chat1m"), options));
+  }
+  const SearchResult& serial = results.front();
+  ASSERT_EQ(serial.evaluations.size(), 8u);
+  ASSERT_TRUE(serial.best().has_value());
+  for (std::size_t r = 1; r < results.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << "threads " << r + 1);
+    const SearchResult& other = results[r];
+    ASSERT_EQ(other.evaluations.size(), serial.evaluations.size());
+    for (std::size_t i = 0; i < serial.evaluations.size(); ++i) {
+      const ConfigEvaluation& a = serial.evaluations[i];
+      const ConfigEvaluation& b = other.evaluations[i];
+      SCOPED_TRACE(a.config.to_string());
+      EXPECT_EQ(b.config.to_string(), a.config.to_string());
+      EXPECT_EQ(b.num_probes, a.num_probes);
+      EXPECT_EQ(b.feasible, a.feasible);
+      EXPECT_EQ(bits(b.capacity_qps), bits(a.capacity_qps));
+      EXPECT_EQ(bits(b.ttft_p90), bits(a.ttft_p90));
+      EXPECT_EQ(bits(b.tbt_p99), bits(a.tbt_p99));
+      EXPECT_EQ(b.meets_slo, a.meets_slo);
+    }
+    ASSERT_TRUE(other.best().has_value());
+    EXPECT_EQ(other.best()->config.to_string(),
+              serial.best()->config.to_string());
+    EXPECT_EQ(bits(other.best()->qps_per_dollar),
+              bits(serial.best()->qps_per_dollar));
+  }
+}
+
 
 TEST(Search, PruningFindsTheSameOptimum) {
   VidurSearchOptions options;

@@ -15,6 +15,8 @@
 #include "core/session.h"
 #include "execution/execution_backend.h"
 #include "execution/stage_timing_memo.h"
+#include "execution/stage_workload.h"
+#include "operators/op_type.h"
 #include "profiler/profiler.h"
 #include "workload/trace_generator.h"
 
@@ -140,6 +142,167 @@ TEST(StageTimingMemo, SharedPrivateAndColdPredictorsAgreeBitForBit) {
   }
   EXPECT_EQ(total, calls);
   EXPECT_GE(hits, calls / 2);  // every repeat hits
+}
+
+/// Today's miss path, kept as the reference: every invocation of
+/// decompose_stage()'s output predicted and summed in order from zero.
+/// `prefix` > 0 stops after that many invocations.
+StageTiming summed_decomposition(const std::vector<OpInvocation>& ops,
+                                 const ParallelConfig& par,
+                                 std::size_t prefix = 0) {
+  StageTiming timing;
+  const std::size_t end = prefix > 0 ? prefix : ops.size();
+  for (std::size_t i = 0; i < end; ++i) {
+    const OpInvocation& inv = ops[i];
+    const int shard = op_class(inv.op) == OpClass::kCommunication
+                          ? inv.input.world
+                          : par.tensor_parallel;
+    const Seconds t = estimator().predict(inv.op, shard, inv.input) * inv.count;
+    if (inv.op == OpType::kSendRecv)
+      timing.comm += t;
+    else
+      timing.compute += t;
+  }
+  return timing;
+}
+
+/// A batch of `kind` with `total_q` new tokens (>= 2): decode-only,
+/// prefill-only, mixed, a chunk over a cached prefix, or chunks that
+/// complete no prompt (nothing sampled). Small totals repeat, so batches of
+/// different signatures share a token-operator prefix.
+BatchSpec batch_of_kind(Rng& rng, int kind, TokenCount total_q) {
+  BatchSpec batch;
+  switch (kind) {
+    case 0:  // decode-only
+      for (TokenCount i = 0; i < total_q; ++i)
+        batch.items.push_back(
+            BatchItem{i, 1, rng.uniform_int(16, 4000), false, false});
+      break;
+    case 1:  // prefill-only, one completing chunk
+      batch.items.push_back(BatchItem{0, total_q, 0, true, true});
+      break;
+    case 2: {  // mixed
+      const TokenCount decodes = rng.uniform_int(1, total_q - 1);
+      for (TokenCount i = 0; i < decodes; ++i)
+        batch.items.push_back(
+            BatchItem{i, 1, rng.uniform_int(16, 4000), false, false});
+      batch.items.push_back(
+          BatchItem{decodes, total_q - decodes, 0, true, rng.bernoulli(0.5)});
+      break;
+    }
+    case 3:  // cached prefix
+      batch.items.push_back(
+          BatchItem{0, total_q, rng.uniform_int(1, 3000), true, true});
+      break;
+    default: {  // zero sampled: two chunks, neither completes its prompt
+      const TokenCount first = rng.uniform_int(1, total_q - 1);
+      batch.items.push_back(
+          BatchItem{0, first, rng.uniform_int(0, 500), true, false});
+      batch.items.push_back(BatchItem{1, total_q - first, 0, true, false});
+      break;
+    }
+  }
+  return batch;
+}
+
+TEST(StageTimingMemo, TokenOpPrefixSumsMatchTheDecompositionBitForBit) {
+  // Every layout TP {1, 2, 4} x PP {1, 2, 4}, every stage, every batch
+  // kind, on one shared memo: each timing equals the in-order sum over
+  // decompose_stage(); a miss whose token prefix is already stored predicts
+  // only the other invocations; token-operator entries hold that prefix's
+  // sum and never answer a batch-signature lookup.
+  const ModelSpec model = model_by_name("llama2-7b");
+  StageTimingMemo memo(StageTimingMemo::kSharedEntries);
+  Rng rng(20261019);
+  std::size_t reused = 0;
+  for (const int tp : {1, 2, 4}) {
+    for (const int pp : {1, 2, 4}) {
+      const ParallelConfig par{tp, pp, 1};
+      const OpShapes shapes(model, tp);
+      ExecutionTimePredictor predictor(&estimator(), model, par,
+                                       CpuOverheadModel(), &memo);
+      std::size_t calls = 0;
+      std::set<std::tuple<StageId, TokenCount>> prefixes;
+      for (int trial = 0; trial < 60; ++trial) {
+        const int kind = trial % 5;
+        const BatchSpec batch =
+            batch_of_kind(rng, kind, rng.uniform_int(2, 12));
+        if (kind == 4) {
+          ASSERT_EQ(batch.aggregates().sampled, 0);
+        }
+        for (StageId stage = 0; stage < pp; ++stage) {
+          SCOPED_TRACE(testing::Message() << "TP" << tp << " PP" << pp
+                                          << " stage " << stage << " trial "
+                                          << trial << " kind " << kind);
+          const std::vector<OpInvocation> ops = decompose_stage(
+              shapes, par, batch, stage, AttentionMode::kEquivalentPrefill);
+          const StageTiming want = summed_decomposition(ops, par);
+          std::vector<OpInvocation> from_agg;
+          const std::size_t token_ops = decompose_stage_into(
+              from_agg, shapes, par, batch.aggregates(), stage);
+          ASSERT_EQ(token_ops, stage == 0 ? 10u : 9u);
+          ASSERT_EQ(from_agg.size(), ops.size());
+          StageTiming stored;
+          const bool prefix_known = memo.lookup(
+              StageTimingMemo::Key::token_ops(stage, tp, pp,
+                                              batch.aggregates().total_q),
+              &stored);
+          const std::size_t lookups = estimator().cache_lookups();
+          const std::size_t misses = predictor.timing_cache_misses();
+          EXPECT_TRUE(same_bits(predictor.stage_timing(batch, stage), want));
+          ++calls;
+          if (predictor.timing_cache_misses() > misses && prefix_known) {
+            EXPECT_EQ(estimator().cache_lookups() - lookups,
+                      ops.size() - token_ops);
+            ++reused;
+          }
+          prefixes.emplace(stage, batch.aggregates().total_q);
+          EXPECT_TRUE(same_bits(predictor.stage_timing(batch, stage), want));
+          ++calls;
+        }
+      }
+      EXPECT_EQ(predictor.timing_cache_hits() + predictor.timing_cache_misses(),
+                calls);
+      for (const auto& [stage, q] : prefixes) {
+        const StageTimingMemo::Key key =
+            StageTimingMemo::Key::token_ops(stage, tp, pp, q);
+        StageTiming prefix;
+        if (!memo.lookup(key, &prefix)) continue;  // evicted: nothing to check
+        BatchSpec decodes = batch_of_kind(rng, 0, q);
+        const std::vector<OpInvocation> ops = decompose_stage(
+            shapes, par, decodes, stage, AttentionMode::kEquivalentPrefill);
+        EXPECT_TRUE(same_bits(
+            prefix, summed_decomposition(ops, par, stage == 0 ? 10 : 9)));
+        // The nearest batch signature: every field but the marker equal.
+        StageTimingMemo::Key alias = key;
+        alias.decodes = 0;
+        StageTiming out;
+        EXPECT_FALSE(memo.lookup(alias, &out));
+      }
+    }
+  }
+  EXPECT_GT(reused, 100u);
+}
+
+TEST(StageTimingMemo, TokenOpKeysNeverAliasBatchSignatures) {
+  // Raw table: a token-operator entry answers only its own key kind, and a
+  // batch signature with the same layout, stage and token count answers
+  // only its own.
+  StageTimingMemo memo(64);
+  for (int q = 1; q <= 8; ++q) {
+    const StageTimingMemo::Key prefix =
+        StageTimingMemo::Key::token_ops(q % 2, 2, 2, q);
+    StageTimingMemo::Key batch = prefix;
+    batch.decodes = 0;
+    memo.insert(prefix, StageTiming{1.0 * q, 0.0});
+    StageTiming out;
+    EXPECT_FALSE(memo.lookup(batch, &out));
+    memo.insert(batch, StageTiming{-1.0 * q, 0.5});
+    ASSERT_TRUE(memo.lookup(prefix, &out));
+    EXPECT_EQ(out.compute, 1.0 * q);
+    ASSERT_TRUE(memo.lookup(batch, &out));
+    EXPECT_EQ(out.compute, -1.0 * q);
+  }
 }
 
 TEST(StageTimingMemo, EvictionKeepsEveryTimingExact) {
