@@ -94,16 +94,28 @@ class TokenTimes {
   /// to another timeline fails a check.
   void append(const std::shared_ptr<TokenTimeline>& timeline, int slot,
               std::uint32_t index, Seconds time) {
+    append(timeline, slot, index, 1, time, time, -1.0);
+  }
+
+  /// `count` tokens emitted at the ends of batches index .. index + count
+  /// - 1 of `slot`: the first at `first`, the last at `last`, and
+  /// `max_gap` the largest gap between two consecutive ones (ignored when
+  /// it is below every gap, as -1 is). The worst gap comes out as count
+  /// one-token appends would leave it: a max is exact in any order.
+  void append(const std::shared_ptr<TokenTimeline>& timeline, int slot,
+              std::uint32_t index, std::uint32_t count, Seconds first,
+              Seconds last, Seconds max_gap) {
     if (timeline_.get() != timeline.get()) adopt(timeline);
-    if (size_ > 0) worst_gap_ = std::max(worst_gap_, time - last_);
-    last_ = time;
-    ++size_;
+    if (size_ > 0) worst_gap_ = std::max(worst_gap_, first - last_);
+    worst_gap_ = std::max(worst_gap_, max_gap);
+    last_ = last;
+    size_ += count;
     const auto s = static_cast<std::uint32_t>(slot);
     if (!runs_.empty() && runs_.back().slot == s &&
         runs_.back().first + runs_.back().count == index) {
-      ++runs_.back().count;
+      runs_.back().count += count;
     } else {
-      runs_.push_back(Run{s, index, 1});
+      runs_.push_back(Run{s, index, count});
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "kvcache/prefix_cache.h"
@@ -159,6 +160,63 @@ std::vector<RequestState*> ReplicaScheduler::on_batch_end(
     }
   }
   return finished;
+}
+
+bool ReplicaScheduler::stable_decode(const BatchSpec& batch) const {
+  // Items are distinct running requests, so equal counts mean all of them.
+  if (!waiting_.empty() || batch.items.size() != running_.size())
+    return false;
+  for (const BatchItem& item : batch.items)
+    if (item.is_prefill) return false;
+  return true;
+}
+
+TokenCount ReplicaScheduler::decode_steps_left(const BatchSpec& batch) const {
+  TokenCount steps = std::numeric_limits<TokenCount>::max();
+  for (const BatchItem& item : batch.items) {
+    const RequestState* r = item.state;
+    // The iteration emitting the last token finishes the request.
+    steps = std::min(steps, r->request.decode_tokens - r->decode_done - 1);
+  }
+  return steps;
+}
+
+bool ReplicaScheduler::next_decode_step(BatchSpec& batch) {
+  // The blocks ensure_decode_memory() would grow for each item's next
+  // token: the allocation cannot fail or touch the cache when they are all
+  // free up front.
+  long needed = 0;
+  for (const BatchItem& item : batch.items) {
+    const RequestState* r = item.state;
+    const TokenCount target = item.kv_context + 2;
+    if (target > kv_tokens_held(r))
+      needed += block_manager_.blocks_for_tokens(target - r->kv_cached) -
+                r->kv_blocks;
+  }
+  if (!block_manager_.can_allocate(needed)) return false;
+  for (BatchItem& item : batch.items) {
+    RequestState* r = item.state;
+    const TokenCount target = ++item.kv_context + 1;
+    if (target > kv_tokens_held(r))
+      VIDUR_CHECK(block_manager_.grow_to(r->kv_blocks, target - r->kv_cached));
+  }
+  return true;
+}
+
+void ReplicaScheduler::end_decode_window(const BatchSpec& batch,
+                                         TokenCount steps,
+                                         std::uint32_t first_index,
+                                         Seconds first_end, Seconds last_end,
+                                         Seconds max_gap) {
+  for (const BatchItem& item : batch.items) {
+    RequestState* r = item.state;
+    r->decode_done += steps;
+    r->kv_context += steps;
+    VIDUR_CHECK(r->kv_context == item.kv_context && !r->finished());
+    r->record.token_times.append(timeline_, timeline_slot_, first_index,
+                                 static_cast<std::uint32_t>(steps), first_end,
+                                 last_end, max_gap);
+  }
 }
 
 void ReplicaScheduler::extract(RequestState* request) {

@@ -45,6 +45,37 @@ class ReplicaScheduler {
   std::vector<RequestState*> on_batch_end(const BatchSpec& batch,
                                           Seconds now);
 
+  // ---- stable decode windows (Simulator::run_decode_window) ----
+
+  /// True when `batch`, just formed by schedule_into(), decodes every
+  /// running request while nothing waits. Every policy then forms the
+  /// identical batch again, each item one token further along, for as long
+  /// as no request finishes and the KV growth fits in the free blocks.
+  bool stable_decode(const BatchSpec& batch) const;
+
+  /// Iterations of the stable decode `batch` that can end without
+  /// finishing any of its requests.
+  TokenCount decode_steps_left(const BatchSpec& batch) const;
+
+  /// The stable decode `batch` ended and the identical next iteration
+  /// forms: every item's KV context grows by one token and the blocks its
+  /// next token crosses into are allocated. Returns false, changing
+  /// nothing, when those blocks are not all free (forming the iteration
+  /// would reclaim cached blocks or preempt, which only schedule_into()
+  /// does). The requests' own progress is left to end_decode_window().
+  bool next_decode_step(BatchSpec& batch);
+
+  /// A window ran `steps` iterations of the stable decode `batch` (now
+  /// formed as the iteration after them), ending at batches first_index ..
+  /// first_index + steps - 1 of this replica's timeline slot, the first at
+  /// `first_end` and the last at `last_end`, with `max_gap` the largest gap
+  /// between consecutive ones. Each request's decode progress, KV context
+  /// and token run advance as `steps` on_batch_end() calls would have left
+  /// them.
+  void end_decode_window(const BatchSpec& batch, TokenCount steps,
+                         std::uint32_t first_index, Seconds first_end,
+                         Seconds last_end, Seconds max_gap);
+
   /// Remove an unfinished, admitted request from this replica, releasing its
   /// KV blocks (disaggregated serving: the simulator extracts a request once
   /// its prefill completes, then hands it to a decode replica).

@@ -189,6 +189,14 @@ class EventQueue {
     return stream_first() ? stream_[stream_pos_].time : heap_.front().time;
   }
 
+  /// Time of the next pending arrival of the stream; kInfiniteTime once
+  /// the stream has drained. Arrivals never enter the heap, so this is the
+  /// earliest moment new work can enter the system.
+  Seconds next_arrival_time() const {
+    return stream_pos_ == stream_.size() ? kInfiniteTime
+                                         : stream_[stream_pos_].time;
+  }
+
  private:
   struct Node {
     Seconds time;

@@ -558,6 +558,22 @@ SimulationMetrics Simulator::run() {
   preroute_ = config_.global_scheduler == GlobalSchedulerKind::kRoundRobin &&
               cluster_ == nullptr && rolling_ == nullptr && !disaggregated_ &&
               !config_.collect_operator_metrics && num_slots_ > 0;
+  // Stable decode windows run a replica's repeated all-decode iterations
+  // in one loop, so nothing may look at the replica between them: no trace
+  // recorder (a traced run is the per-iteration reference) and no operator
+  // metrics. A shard's own queue and its round's end bound everything else
+  // that can reach it. On the central queue only arrivals may: no rolling
+  // windows, elastic fleet, fault injector or disaggregation, and routing
+  // that binds each arrival as it comes (no parked requests to pull).
+  const GlobalSchedulerKind routing = config_.global_scheduler;
+  decode_windows_ =
+      trace_rec_ == nullptr && !config_.collect_operator_metrics &&
+      (preroute_ ||
+       (rolling_ == nullptr && cluster_ == nullptr && injector_ == nullptr &&
+        !disaggregated_ &&
+        (routing == GlobalSchedulerKind::kRoundRobin ||
+         routing == GlobalSchedulerKind::kLeastOutstanding ||
+         routing == GlobalSchedulerKind::kCacheAware)));
   // Every arrival, in the order the legacy queue popped them when they
   // were pushed in trace order: (arrival_time, trace position).
   std::vector<EventQueue::Arrival> arrivals;
@@ -636,11 +652,17 @@ SimulationMetrics Simulator::run() {
   }
   // The run's horizon is the latest clock of any timeline (sharded runs:
   // the last shard event usually outlasts the last central one).
+  // Each iteration a decode window ran counts as the stage-end event it
+  // replaced, at its end time.
   std::uint64_t num_events = events_.num_processed();
   Seconds horizon = events_.now();
   for (const SimShard& shard : shards_) {
     num_events += shard.events.num_processed();
     horizon = std::max(horizon, shard.events.now());
+  }
+  for (const Replica& replica : replicas_) {
+    num_events += replica.window_iterations;
+    horizon = std::max(horizon, replica.window_end);
   }
   // Elastic runs leave one trailing autoscaler tick behind the last batch
   // end; account the run up to the last real progress instead so the
@@ -711,6 +733,7 @@ void Simulator::shard_round(Seconds window) {
 void Simulator::run_shard(SimShard& shard, Seconds window) {
   SimShard* const prev = tls_shard_;
   tls_shard_ = &shard;
+  shard.round_end = window;
   try {
     // Strictly below the window: a shard event at exactly the window time
     // must observe the central events there first (a degrade edge at t
@@ -963,8 +986,7 @@ void Simulator::try_schedule(ReplicaId replica_id) {
 void Simulator::start_stage(ReplicaId replica_id, StageId stage,
                             StageScheduler::BatchHandle handle) {
   Replica& replica = replicas_[static_cast<std::size_t>(replica_id)];
-  const InFlightBatch& batch =
-      replica.in_flight[static_cast<std::size_t>(handle)];
+  InFlightBatch& batch = replica.in_flight[static_cast<std::size_t>(handle)];
   VIDUR_CHECK_MSG(batch.live, "stage started for a retired batch handle");
   if (batch.cancelled) {
     // Dead replica's pipeline: the stage queues still advance (events that
@@ -978,26 +1000,100 @@ void Simulator::start_stage(ReplicaId replica_id, StageId stage,
     local_events().schedule_event(sim_now(), ev);
     return;
   }
-  const StageTiming timing =
-      replica.backend->stage_timing(batch.spec, batch.agg, stage);
-  VIDUR_CHECK(timing.compute >= 0 && timing.comm >= 0);
-  // Synchronous pipeline: the send occupies the stage. Asynchronous: the
-  // stage frees after compute; the send delays only the downstream hand-off.
-  Seconds busy = config_.async_pipeline_comm ? timing.compute : timing.total();
-  const Seconds handoff_lag = config_.async_pipeline_comm ? timing.comm : 0.0;
-  if (stage == 0) busy += replica.backend->cpu_overhead(batch.spec);
-  // Straggler mode (src/fault/): a degraded replica runs everything slower.
-  busy *= replica.slow_factor;
-  if (config_.collect_operator_metrics)
-    metrics_.record_operators(
-        replica.backend->stage_breakdown(batch.spec, stage).per_op);
+  Seconds handoff_lag = 0.0;
+  Seconds end = sim_now() + stage_busy(replica, batch, stage, handoff_lag);
+  if (decode_windows_ && replica.stages.size() == 1 &&
+      replica.scheduler->stable_decode(batch.spec))
+    end = run_decode_window(replica_id, batch, end, handoff_lag);
   SimEvent ev;
   ev.kind = EventKind::kStageEnd;
   ev.replica = replica_id;
   ev.stage = stage;
   ev.handle = handle;
   ev.comm_time = handoff_lag;
-  local_events().schedule_event(sim_now() + busy, ev);
+  local_events().schedule_event(end, ev);
+}
+
+Seconds Simulator::stage_busy(Replica& replica, const InFlightBatch& batch,
+                              StageId stage, Seconds& handoff_lag) {
+  const StageTiming timing =
+      replica.backend->stage_timing(batch.spec, batch.agg, stage);
+  VIDUR_CHECK(timing.compute >= 0 && timing.comm >= 0);
+  // Synchronous pipeline: the send occupies the stage. Asynchronous: the
+  // stage frees after compute; the send delays only the downstream hand-off.
+  Seconds busy = config_.async_pipeline_comm ? timing.compute : timing.total();
+  handoff_lag = config_.async_pipeline_comm ? timing.comm : 0.0;
+  if (stage == 0) busy += replica.backend->cpu_overhead(batch.spec);
+  // Straggler mode (src/fault/): a degraded replica runs everything slower.
+  busy *= replica.slow_factor;
+  if (config_.collect_operator_metrics)
+    metrics_.record_operators(
+        replica.backend->stage_breakdown(batch.spec, stage).per_op);
+  return busy;
+}
+
+Seconds Simulator::window_edge() const {
+  if (tls_shard_ == nullptr) return events_.next_arrival_time();
+  const EventQueue& queue = tls_shard_->events;
+  return queue.empty() ? tls_shard_->round_end
+                       : std::min(tls_shard_->round_end, queue.next_time());
+}
+
+Seconds Simulator::run_decode_window(ReplicaId replica_id, InFlightBatch& batch,
+                                     Seconds end, Seconds& handoff_lag) {
+  Replica& replica = replicas_[static_cast<std::size_t>(replica_id)];
+  ReplicaScheduler& scheduler = *replica.scheduler;
+  // Neither bound moves inside the window: nothing else runs until the
+  // caller queues the last iteration's end.
+  const Seconds edge = window_edge();
+  const TokenCount steps_left = scheduler.decode_steps_left(batch.spec);
+  TokenCount steps = 0;
+  std::uint32_t first_index = 0;
+  Seconds first_end = end;
+  Seconds last_end = end;
+  Seconds max_gap = -1.0;
+  // The running iteration ends at `end`; the identical next one forms
+  // then, as the stage-end event would have formed it.
+  while (steps < steps_left && end < edge && end <= config_.max_sim_time &&
+         scheduler.next_decode_step(batch.spec)) {
+    // finish_batch's accounting of the iteration that ended (its record
+    // reads the aggregates, not the items just advanced) ...
+    metrics_.record_batch(batch_record(replica_id, batch, end));
+    replica.batches.inc();
+    const std::uint32_t index = timeline_->push(replica_id, end);
+    if (steps == 0) {
+      first_index = index;
+      first_end = end;
+    } else {
+      max_gap = std::max(max_gap, end - last_end);
+    }
+    last_end = end;
+    ++steps;
+    // ... then try_schedule's for the one that formed: every item reads
+    // one more KV token.
+    batch.agg.decode_kv += batch.agg.decodes;
+    batch.flops = batch_flops(config_.model, batch.agg);
+    batch.kv_utilization = scheduler.blocks().utilization();
+    batch.start_time = end;
+    end += stage_busy(replica, batch, 0, handoff_lag);
+  }
+  if (steps > 0) {
+    scheduler.end_decode_window(batch.spec, steps, first_index, first_end,
+                                last_end, max_gap);
+    ++replica.decode_windows;
+    replica.window_iterations += static_cast<std::uint64_t>(steps);
+    replica.window_end = std::max(replica.window_end, last_end);
+  }
+  return end;
+}
+
+Simulator::DecodeWindowStats Simulator::decode_window_stats() const {
+  DecodeWindowStats stats;
+  for (const Replica& replica : replicas_) {
+    stats.windows += replica.decode_windows;
+    stats.iterations += replica.window_iterations;
+  }
+  return stats;
 }
 
 void Simulator::on_stage_end(ReplicaId replica_id, StageId stage,
@@ -1054,18 +1150,7 @@ void Simulator::finish_batch(ReplicaId replica_id,
     return;
   }
 
-  BatchRecord record;
-  record.replica = replica_id;
-  record.start_time = batch.start_time;
-  record.end_time = sim_now();
-  record.q_tokens = batch.agg.total_q;
-  record.batch_size = batch.spec.size();
-  record.flops = batch.flops;
-  const ParallelConfig& parallel = pool_of(replica_id).parallel;
-  record.hbm_bytes_per_gpu = batch_hbm_bytes_per_gpu(
-      config_.model, parallel.tensor_parallel, parallel.pipeline_parallel,
-      batch.agg);
-  record.kv_utilization = batch.kv_utilization;
+  const BatchRecord record = batch_record(replica_id, batch, sim_now());
   if (batch.trace_seq != -1) {
     trace_emit(local_trace(), TraceEventKind::kBatchEnd, sim_now(), replica_id,
          batch.trace_seq, batch.spec.size());
@@ -1094,6 +1179,24 @@ void Simulator::finish_batch(ReplicaId replica_id,
   if (cluster_ && replica.batches_in_flight == 0 &&
       replica.scheduler->outstanding() == 0)
     cluster_->notify_idle(replica_id);
+}
+
+BatchRecord Simulator::batch_record(ReplicaId replica_id,
+                                    const InFlightBatch& batch,
+                                    Seconds end) const {
+  BatchRecord record;
+  record.replica = replica_id;
+  record.start_time = batch.start_time;
+  record.end_time = end;
+  record.q_tokens = batch.agg.total_q;
+  record.batch_size = batch.spec.size();
+  record.flops = batch.flops;
+  const ParallelConfig& parallel = pool_of(replica_id).parallel;
+  record.hbm_bytes_per_gpu = batch_hbm_bytes_per_gpu(
+      config_.model, parallel.tensor_parallel, parallel.pipeline_parallel,
+      batch.agg);
+  record.kv_utilization = batch.kv_utilization;
+  return record;
 }
 
 void Simulator::migrate_prefilled(ReplicaId replica_id,

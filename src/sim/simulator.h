@@ -152,6 +152,16 @@ class Simulator {
     return replicas_[static_cast<std::size_t>(r)].cache.get();
   }
 
+  /// The stable decode windows of a finished run (run_decode_window): how
+  /// many opened, and how many iterations ran inside them, each a stage-end
+  /// event the engine did not queue. For tests and measurements; not part
+  /// of the run's results.
+  struct DecodeWindowStats {
+    std::uint64_t windows = 0;
+    std::uint64_t iterations = 0;
+  };
+  DecodeWindowStats decode_window_stats() const;
+
  private:
   struct InFlightBatch {
     BatchSpec spec;
@@ -196,6 +206,12 @@ class Simulator {
     Counter admissions;
     Counter batches;
     Counter completions;
+    /// Stable decode windows opened here, the iterations they ran (each
+    /// counts in `sim.events` as the stage end it replaces) and the latest
+    /// such iteration's end (counts in the run horizon).
+    std::uint64_t decode_windows = 0;
+    std::uint64_t window_iterations = 0;
+    Seconds window_end = 0.0;
   };
 
   /// Typed-event switch: the single dispatch point of the hot loop.
@@ -209,6 +225,31 @@ class Simulator {
   void try_schedule(ReplicaId replica_id);
   void start_stage(ReplicaId replica_id, StageId stage,
                    StageScheduler::BatchHandle handle);
+  /// How long `batch` occupies `stage` (the backend's stage timing, plus
+  /// the CPU overhead on stage 0, scaled by the straggler factor); sets
+  /// `handoff_lag` to the send delay an asynchronous pipeline adds
+  /// downstream. Draws from the backend exactly once per call.
+  Seconds stage_busy(Replica& replica, const InFlightBatch& batch,
+                     StageId stage, Seconds& handoff_lag);
+  /// The replica-level accounting of `batch` ending at `end`.
+  BatchRecord batch_record(ReplicaId replica_id, const InFlightBatch& batch,
+                           Seconds end) const;
+  /// Stable decode window: `batch` just started as a stable decode batch
+  /// (ReplicaScheduler::stable_decode) and ends at `end`. Runs the
+  /// identical iterations that would follow it in a loop, each accounted
+  /// as its own stage-end event would, and stops before the first that
+  /// would form at or after window_edge(), end after max_sim_time, finish
+  /// a request or need KV blocks that are not free. Leaves `batch` formed
+  /// as the window's last iteration and returns that iteration's end (and
+  /// its `handoff_lag`), for which the caller queues the one stage-end
+  /// event.
+  Seconds run_decode_window(ReplicaId replica_id, InFlightBatch& batch,
+                            Seconds end, Seconds& handoff_lag);
+  /// The time of the next event able to reach a replica from the calling
+  /// context: in a shard, its queue's next event or the round's end; on
+  /// the central queue, the next arrival (the only event that reaches
+  /// another replica in a run that opens windows there).
+  Seconds window_edge() const;
   void on_stage_end(ReplicaId replica_id, StageId stage,
                     StageScheduler::BatchHandle handle, Seconds comm_time);
   /// Micro-batch (activations included) arrives at `stage`.
@@ -234,6 +275,9 @@ class Simulator {
     /// provisional id -(local)-2 until the merge assigns global seqs.
     std::int64_t next_local_batch = 0;
     std::int64_t arrivals = 0;  ///< summed into requests.arrivals at end
+    /// The running round's end: central events at this time run before
+    /// any shard event at it.
+    Seconds round_end = kInfiniteTime;
   };
 
   /// Shard-local clock/queue/trace of the calling thread, falling back to
@@ -333,7 +377,8 @@ class Simulator {
   mutable std::vector<bool> arrival_mask_scratch_;
   std::vector<Replica> replicas_;
   /// Batch-end times of every slot, shared by all request records: each
-  /// replica's scheduler appends to its own slot, and every record is
+  /// replica appends to its own slot (its scheduler at a batch end, its
+  /// decode windows for the iterations they run), and every record is
   /// bound to it up front, so token appends copy no shared_ptr.
   std::shared_ptr<TokenTimeline> timeline_;
   std::vector<RequestState> states_;
@@ -383,6 +428,11 @@ class Simulator {
   /// Otherwise every arrival stays a central event and the run degenerates
   /// to the legacy single-queue order exactly.
   bool preroute_ = false;
+  /// Stable decode windows allowed on PP = 1 replicas (decided in run()
+  /// from the configuration): no trace recorder, no operator metrics, and
+  /// on the central queue nothing but arrivals that can reach a replica
+  /// between its own events.
+  bool decode_windows_ = false;
   std::vector<SimShard> shards_;  ///< one per slot when preroute_, else empty
   /// Per-shard local -> global batch sequence map (grown at merge time).
   std::vector<std::vector<std::int64_t>> shard_batch_seq_;
