@@ -186,8 +186,9 @@ bench::Json analyze_trace_case(const std::string& model, int n) {
 /// at execution.threads 1/2/4/8, reporting events/s and the speedup curve.
 /// The numbers are honest for whatever machine runs the bench — the
 /// surrounding meta block records `hardware_threads`, and on a single-core
-/// CI runner the curve is flat by construction (the SpinTeam yields under
-/// oversubscription instead of spinning).
+/// CI runner the curve is flat by construction (the fleet runs as one
+/// shard round whose shards are ThreadPool tasks; idle workers sleep on a
+/// condition variable instead of spinning).
 bench::Json fleet_scale_case() {
   VidurSession& session = shared_session("llama2-7b");
   DeploymentConfig config = config_for("llama2-7b", SchedulerKind::kVllm);

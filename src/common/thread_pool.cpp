@@ -88,79 +88,4 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   done.wait(lock, [&] { return remaining == 0; });
 }
 
-namespace {
-
-/// Spin briefly, then yield: fast handoff when a core is free, fair
-/// degradation when workers outnumber cores (including the 1-core case,
-/// where pure spinning would serialize behind the OS scheduler's quantum).
-inline void backoff(int& spins) {
-  if (++spins < 64) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-    return;
-  }
-  std::this_thread::yield();
-}
-
-}  // namespace
-
-SpinTeam::SpinTeam(std::size_t size) {
-  if (size < 1) size = 1;
-  threads_.reserve(size - 1);
-  for (std::size_t w = 1; w < size; ++w)
-    threads_.emplace_back([this, w] { worker_loop(w); });
-}
-
-SpinTeam::~SpinTeam() {
-  stopping_.store(true, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_release);
-  for (auto& t : threads_) t.join();
-}
-
-void SpinTeam::capture_exception() {
-  std::lock_guard lock(exception_mutex_);
-  if (!first_exception_) first_exception_ = std::current_exception();
-}
-
-void SpinTeam::worker_loop(std::size_t worker) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    int spins = 0;
-    while (epoch_.load(std::memory_order_acquire) == seen) backoff(spins);
-    ++seen;
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    try {
-      (*fn_)(worker);
-    } catch (...) {
-      capture_exception();
-    }
-    done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void SpinTeam::run(const std::function<void(std::size_t)>& fn) {
-  if (threads_.empty()) {
-    fn(0);
-    return;
-  }
-  fn_ = &fn;
-  done_.store(0, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_release);
-  try {
-    fn(0);
-  } catch (...) {
-    capture_exception();
-  }
-  int spins = 0;
-  while (done_.load(std::memory_order_acquire) != threads_.size())
-    backoff(spins);
-  fn_ = nullptr;
-  if (first_exception_) {
-    std::exception_ptr e = first_exception_;
-    first_exception_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
 }  // namespace vidur

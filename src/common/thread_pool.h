@@ -1,13 +1,11 @@
-// Fixed-size worker pool used by Vidur-Search to evaluate deployment
-// configurations in parallel (the paper runs each capacity search on its own
-// CPU core).
+// Fixed-size worker pool. Vidur-Search evaluates deployment configurations
+// on it in parallel (the paper runs each capacity search on its own CPU
+// core); estimator onboarding, run_sweep and the sharded simulator's window
+// rounds fork-join on it too.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -56,45 +54,6 @@ class ThreadPool {
 /// caller would hold a worker while waiting on the others.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
-
-/// Persistent fork-join team for the sharded simulator's window rounds.
-/// ThreadPool's mutex/condvar handoff costs microseconds per dispatch; a
-/// windowed simulation runs hundreds of thousands of rounds, so the round
-/// barrier must cost nanoseconds when cores are available. Workers spin on
-/// an epoch counter (briefly — they fall back to yield(), so an
-/// oversubscribed or single-core host degrades to scheduler-fair
-/// progress instead of livelock).
-///
-/// run(fn) invokes fn(worker) for worker in [0, size()) — the caller
-/// participates as worker 0, the size()-1 internal threads take the rest —
-/// and returns when all have finished. The first exception thrown by any
-/// worker is rethrown from run() after the barrier.
-class SpinTeam {
- public:
-  /// Creates a team of `size` workers (>= 1 enforced); `size - 1` threads
-  /// are spawned, the caller of run() acts as the remaining worker.
-  explicit SpinTeam(std::size_t size);
-  ~SpinTeam();
-
-  SpinTeam(const SpinTeam&) = delete;
-  SpinTeam& operator=(const SpinTeam&) = delete;
-
-  void run(const std::function<void(std::size_t)>& fn);
-
-  std::size_t size() const { return threads_.size() + 1; }
-
- private:
-  void worker_loop(std::size_t worker);
-  void capture_exception();
-
-  std::vector<std::thread> threads_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> done_{0};
-  std::atomic<bool> stopping_{false};
-  std::mutex exception_mutex_;
-  std::exception_ptr first_exception_;
-};
 
 /// std::thread::hardware_concurrency() clamped to >= 1. The standard
 /// permits a 0 return when the count is not computable; every consumer

@@ -46,9 +46,11 @@ struct DeploymentConfig {
   /// them with. Disabled by default (no profiles = immortal replicas).
   FaultConfig faults;
   /// Worker threads of the sharded simulation core (spec: `execution.
-  /// threads`). Results are bit-identical at every value; > 1 parallelizes
-  /// the replica timelines between scheduler/cluster/fault synchronization
-  /// points. Must stay 1 for disaggregated deployments and operator-metric
+  /// threads`). Results are bit-identical at every value. Only untraced
+  /// static round-robin fleets shard; > 1 runs their replica timelines in
+  /// parallel between degrade edges. Every other run, traced runs
+  /// included, plays on the central queue, where the value changes
+  /// nothing. Must stay 1 for disaggregated deployments and operator-metric
   /// collection (validated).
   int threads = 1;
 

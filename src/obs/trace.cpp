@@ -32,11 +32,11 @@ const char* trace_event_kind_name(TraceEventKind kind) {
   return "unknown";
 }
 
-TraceRecorder::TraceRecorder(std::size_t capacity)
-    : buffer_(capacity), unbounded_(capacity == kUnbounded) {}
+TraceRecorder::TraceRecorder(std::size_t capacity) : buffer_(capacity) {
+  VIDUR_CHECK_MSG(capacity > 0, "trace recorder capacity must be > 0");
+}
 
 std::vector<TraceRecord> TraceRecorder::records() const {
-  if (unbounded_) return buffer_;
   std::vector<TraceRecord> out;
   const std::size_t retained =
       total_ < buffer_.size() ? static_cast<std::size_t>(total_)
@@ -49,13 +49,7 @@ std::vector<TraceRecord> TraceRecorder::records() const {
   return out;
 }
 
-const std::vector<TraceRecord>& TraceRecorder::staged() const {
-  VIDUR_CHECK_MSG(unbounded_, "staged() requires an unbounded recorder");
-  return buffer_;
-}
-
 void TraceRecorder::clear() {
-  if (unbounded_) buffer_.clear();
   head_ = 0;
   total_ = 0;
 }

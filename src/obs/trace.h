@@ -113,37 +113,25 @@ struct TraceRecord {
 /// oldest records are overwritten (num_dropped() reports how many); the
 /// exporter then renders the retained tail, which is the recent history —
 /// the part a user debugging a long run actually wants.
-///
-/// Capacity kUnbounded (0) selects an append-only growing buffer instead:
-/// every record is retained and nothing is ever dropped. The sharded
-/// simulator uses this mode for its per-shard staging recorders, whose
-/// contents are merged into the run's real (ring) recorder at every window
-/// boundary and must arrive complete for the merge order to be exact.
 class TraceRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
-  static constexpr std::size_t kUnbounded = 0;
 
+  /// Throws vidur::Error on a zero capacity (emit() writes the ring's head
+  /// slot unconditionally).
   explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
 
   void emit(const TraceRecord& record) {
-    if (unbounded_) {
-      buffer_.push_back(record);
-      ++total_;
-      return;
-    }
     buffer_[head_] = record;
     if (++head_ == buffer_.size()) head_ = 0;
     ++total_;
   }
 
-  bool unbounded() const { return unbounded_; }
-  /// Ring capacity; for an unbounded recorder, the records retained so far.
+  /// Ring capacity: the most records retained at once.
   std::size_t capacity() const { return buffer_.size(); }
   /// Records emitted over the recorder's lifetime (including overwritten).
   std::uint64_t num_emitted() const { return total_; }
-  /// Emitted records no longer retained (ring-buffer overwrites; always 0
-  /// for an unbounded recorder).
+  /// Emitted records no longer retained (ring-buffer overwrites).
   std::uint64_t num_dropped() const {
     return total_ > buffer_.size() ? total_ - buffer_.size() : 0;
   }
@@ -151,16 +139,12 @@ class TraceRecorder {
   /// Retained records in emission order (oldest first).
   std::vector<TraceRecord> records() const;
 
-  /// Zero-copy view of an unbounded recorder's records (emission order).
-  const std::vector<TraceRecord>& staged() const;
-
   void clear();
 
  private:
   std::vector<TraceRecord> buffer_;
   std::size_t head_ = 0;
   std::uint64_t total_ = 0;
-  bool unbounded_ = false;
 };
 
 /// Null-safe emission used by the instrumented subsystems: a disabled

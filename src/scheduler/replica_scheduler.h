@@ -119,12 +119,6 @@ class ReplicaScheduler {
   void set_obs(ReplicaId self, TraceRecorder* trace, Counter* preemptions,
                Counter* admissions);
 
-  /// Redirect just the trace sink, keeping the identity and counters from
-  /// set_obs. The sharded simulator points each replica's scheduler at a
-  /// per-shard staging recorder for the duration of a window round and back
-  /// at the run recorder afterwards.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
   /// Attach this replica's prefix cache (simulator-owned, borrowed; null
   /// disables KV reuse). Every schedule_into() consults it for newly queued
   /// requests, charges only the cold prefill suffix on hits, retains

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "common/check.h"
 #include "obs/rolling.h"
@@ -93,12 +94,6 @@ Seconds Simulator::sim_now() const {
 
 EventQueue& Simulator::local_events() {
   return tls_shard_ != nullptr ? tls_shard_->events : events_;
-}
-
-TraceRecorder* Simulator::local_trace() {
-  if (tls_shard_ != nullptr)
-    return trace_rec_ != nullptr ? &tls_shard_->staging : nullptr;
-  return trace_rec_;
 }
 
 Simulator::Simulator(SimulationConfig config, const Trace& trace,
@@ -549,15 +544,17 @@ SimulationMetrics Simulator::run() {
   // Sharded windowed engine eligibility: round-robin routing over a static
   // fleet is a pure counter, so every arrival's target is known up front.
   // Arrivals then seed per-replica shard queues and the stretches between
-  // central events (fault edges here; routing decisions, autoscaler ticks
-  // and KV migrations in general) advance shard-parallel. Any policy that
+  // central events (degrade edges) advance shard-parallel. Any policy that
   // consults shared state at event time — elastic fleets, rolling windows,
   // cache/load-aware routing, disaggregation, operator metrics — keeps
   // every arrival central, and the run replays the legacy single-queue
-  // order exactly.
+  // order exactly. So does a trace recorder: a traced run is the central,
+  // per-iteration reference of the sharded, windowed one, and its records
+  // come out in the queue's global order with nothing to merge.
   preroute_ = config_.global_scheduler == GlobalSchedulerKind::kRoundRobin &&
               cluster_ == nullptr && rolling_ == nullptr && !disaggregated_ &&
-              !config_.collect_operator_metrics && num_slots_ > 0;
+              !config_.collect_operator_metrics && trace_rec_ == nullptr &&
+              num_slots_ > 0;
   // Stable decode windows run a replica's repeated all-decode iterations
   // in one loop, so nothing may look at the replica between them: no trace
   // recorder (a traced run is the per-iteration reference) and no operator
@@ -588,16 +585,8 @@ SimulationMetrics Simulator::run() {
     std::stable_sort(arrivals.begin(), arrivals.end(), by_time);
   if (preroute_) {
     shards_.resize(static_cast<std::size_t>(num_slots_));
-    shard_batch_seq_.resize(static_cast<std::size_t>(num_slots_));
-    for (ReplicaId r = 0; r < num_slots_; ++r) {
-      SimShard& shard = shards_[static_cast<std::size_t>(r)];
-      shard.replica = r;
-      // Scheduler-level records (kScheduled, kCacheLookup, ...) follow the
-      // batch records into the shard's staging stream; restored below.
-      if (trace_rec_ != nullptr)
-        replicas_[static_cast<std::size_t>(r)].scheduler->set_trace(
-            &shard.staging);
-    }
+    for (ReplicaId r = 0; r < num_slots_; ++r)
+      shards_[static_cast<std::size_t>(r)].replica = r;
     // Routed in pop order, so the round-robin counter assigns every
     // request the same target it always did, and each shard's stream comes
     // out sorted. Round-robin reads no load.
@@ -613,7 +602,7 @@ SimulationMetrics Simulator::run() {
     for (std::size_t r = 0; r < shards_.size(); ++r)
       shards_[r].events.set_arrivals(std::move(streams[r]));
     if (config_.threads > 1 && num_slots_ > 1)
-      team_ = std::make_unique<SpinTeam>(static_cast<std::size_t>(
+      pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(
           std::min(config_.threads, num_slots_)));
   } else {
     events_.set_arrivals(std::move(arrivals));
@@ -621,9 +610,9 @@ SimulationMetrics Simulator::run() {
 
   // One conservative round per central timestamp: every shard first
   // advances privately to (not including) the next central event's time,
-  // the staged effects merge in global order, then the central events at
-  // that time run. Without pre-routed shards the shard phase is empty and
-  // this is exactly the legacy single-queue loop.
+  // then the central events at that time run. Without pre-routed shards
+  // the shard phase is empty and this is exactly the legacy single-queue
+  // loop.
   for (;;) {
     const Seconds window =
         events_.empty() ? kInfiniteTime : events_.next_time();
@@ -633,8 +622,6 @@ SimulationMetrics Simulator::run() {
       events_.run_next([this](const SimEvent& ev) { dispatch(ev); });
     } while (!events_.empty() && events_.next_time() == window);
   }
-  if (preroute_ && trace_rec_ != nullptr)
-    for (Replica& replica : replicas_) replica.scheduler->set_trace(trace_rec_);
 
   // Replica-private tallies fold into the shared counters once, after the
   // last event: shard threads never touch the registry.
@@ -713,21 +700,33 @@ void Simulator::shard_round(Seconds window) {
     if (t < window && t <= config_.max_sim_time) dirty_scratch_.push_back(r);
   }
   if (dirty_scratch_.empty()) return;
-  if (team_ != nullptr && dirty_scratch_.size() > 1) {
-    // Strided assignment over the dirty list. Which worker runs which
-    // shard never affects the result: everything a shard touches is
-    // private, and merge_round imposes the global order afterwards.
-    const std::size_t stride = team_->size();
-    team_->run([this, window, stride](std::size_t worker) {
-      for (std::size_t i = worker; i < dirty_scratch_.size(); i += stride)
+  if (pool_ != nullptr && dirty_scratch_.size() > 1) {
+    // One task per dirty shard. Which thread runs which shard never
+    // affects the result: everything a shard touches is private. Each task
+    // keeps its own error, and the lowest-numbered shard's is rethrown, as
+    // the serial loop below would throw it.
+    std::vector<std::exception_ptr> errors(dirty_scratch_.size());
+    parallel_for(*pool_, dirty_scratch_.size(), [&](std::size_t i) {
+      try {
         run_shard(shards_[static_cast<std::size_t>(dirty_scratch_[i])],
                   window);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     });
+    for (const std::exception_ptr& error : errors)
+      if (error) std::rethrow_exception(error);
   } else {
     for (const int r : dirty_scratch_)
       run_shard(shards_[static_cast<std::size_t>(r)], window);
   }
-  merge_round();
+  // Sharded runs lose and shed nothing (both need an elastic fleet), so the
+  // work left is the trace minus the replicas' completions. Fault renewals
+  // at the next central event read it.
+  std::uint64_t completed = 0;
+  for (const Replica& replica : replicas_)
+    completed += replica.completions.value;
+  remaining_requests_ = states_.size() - static_cast<std::size_t>(completed);
 }
 
 void Simulator::run_shard(SimShard& shard, Seconds window) {
@@ -751,52 +750,6 @@ void Simulator::run_shard(SimShard& shard, Seconds window) {
   tls_shard_ = prev;
 }
 
-void Simulator::merge_round() {
-  // Sharded runs lose and shed nothing (both need an elastic fleet), so the
-  // work left is the trace minus the replicas' completions. Fault renewals
-  // at the next central event read it.
-  std::uint64_t completed = 0;
-  for (const Replica& replica : replicas_)
-    completed += replica.completions.value;
-  remaining_requests_ = states_.size() - static_cast<std::size_t>(completed);
-
-  // k-way scan of the staged trace records by (time, shard, stream
-  // position): with a handful of dirty shards per round a linear scan
-  // beats a heap, and the tie-break makes the merged order total — the
-  // source of the bit-identical-at-any-thread-count guarantee.
-  const std::size_t n = shards_.size();
-  merge_cur_.assign(n, 0);
-  for (;;) {
-    std::size_t best = n;
-    Seconds best_time = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::vector<TraceRecord>& staged = shards_[r].staging.staged();
-      if (merge_cur_[r] == staged.size()) continue;
-      const Seconds t = staged[merge_cur_[r]].time;
-      if (best == n || t < best_time) {
-        best = r;
-        best_time = t;
-      }
-    }
-    if (best == n) break;
-    TraceRecord record = shards_[best].staging.staged()[merge_cur_[best]++];
-    // Batch records were staged under provisional shard-local sequence
-    // numbers (-(local) - 2); the merge order assigns the globals.
-    if (record.id <= -2 && record.kind == TraceEventKind::kBatchStart) {
-      auto& seq_map = shard_batch_seq_[best];
-      const auto local = static_cast<std::size_t>(-record.id) - 2;
-      if (local >= seq_map.size()) seq_map.resize(local + 1, -1);
-      seq_map[local] = next_batch_seq_++;
-      record.id = seq_map[local];
-    } else if (record.id <= -2 && record.kind == TraceEventKind::kBatchEnd) {
-      record.id =
-          shard_batch_seq_[best][static_cast<std::size_t>(-record.id) - 2];
-    }
-    trace_rec_->emit(record);
-  }
-  for (SimShard& shard : shards_) shard.staging.clear();
-}
-
 void Simulator::dispatch(const SimEvent& event) {
   switch (event.kind) {
     case EventKind::kArrival:
@@ -817,24 +770,13 @@ void Simulator::dispatch(const SimEvent& event) {
 }
 
 void Simulator::on_arrival(RequestState* request) {
-  // detail carries tenant+1 so untagged (tenant -1) stays the 0 default;
-  // the analysis engine uses it for per-tenant blame attribution.
-  const int tenant = static_cast<int>(request->record.tenant);
-  const auto tenant_detail = static_cast<std::uint8_t>(
-      tenant < 0 ? 0 : std::min(tenant + 1, 255));
   if (tls_shard_ != nullptr) {
     // Pre-routed arrival on the shard's own timeline: the target was fixed
     // at run start, so routing reduces to the local enqueue. The arrival
-    // tally is shard-private (folded into the counter at end of run); both
-    // records go to the staging stream. Shedding needs an elastic fleet
-    // and never applies here.
+    // tally is shard-private (folded into the counter at end of run).
+    // Shedding needs an elastic fleet and never applies here.
     SimShard& shard = *tls_shard_;
-    trace_emit(local_trace(), TraceEventKind::kArrival, sim_now(), -1,
-               request->record.id, request->record.prefill_tokens,
-               request->record.decode_tokens, tenant_detail);
     ++shard.arrivals;
-    trace_emit(local_trace(), TraceEventKind::kRouted, sim_now(),
-               shard.replica, request->record.id);
     request->replica = shard.replica;
     request->queue_entry_time = sim_now();
     replicas_[static_cast<std::size_t>(shard.replica)].scheduler->enqueue(
@@ -842,6 +784,11 @@ void Simulator::on_arrival(RequestState* request) {
     try_schedule(shard.replica);
     return;
   }
+  // detail carries tenant+1 so untagged (tenant -1) stays the 0 default;
+  // the analysis engine uses it for per-tenant blame attribution.
+  const int tenant = static_cast<int>(request->record.tenant);
+  const auto tenant_detail = static_cast<std::uint8_t>(
+      tenant < 0 ? 0 : std::min(tenant + 1, 255));
   trace_emit(trace_rec_, TraceEventKind::kArrival, events_.now(), -1,
        request->record.id, request->record.prefill_tokens,
        request->record.decode_tokens, tenant_detail);
@@ -966,16 +913,13 @@ void Simulator::try_schedule(ReplicaId replica_id) {
     record.kv_utilization = replica.scheduler->blocks().utilization();
     record.live = true;
     record.cancelled = false;
-    TraceRecorder* const trace = local_trace();
-    if (trace != nullptr) {
-      // Shard context stages under a provisional local sequence number,
-      // -(local) - 2 (never colliding with the -1 "untraced" sentinel);
-      // merge_round assigns the globals in cross-shard time order.
-      record.trace_seq = tls_shard_ != nullptr
-                             ? -(tls_shard_->next_local_batch++) - 2
-                             : next_batch_seq_++;
-      trace_emit(trace, TraceEventKind::kBatchStart, sim_now(), replica_id,
-           record.trace_seq, record.spec.size(), record.agg.total_q);
+    // Traced runs never shard, so the recorder and the sequence counter
+    // are only ever touched from the central queue.
+    if (trace_rec_ != nullptr) {
+      record.trace_seq = next_batch_seq_++;
+      trace_emit(trace_rec_, TraceEventKind::kBatchStart, sim_now(),
+                 replica_id, record.trace_seq, record.spec.size(),
+                 record.agg.total_q);
     }
 
     ++replica.batches_in_flight;
@@ -1152,8 +1096,8 @@ void Simulator::finish_batch(ReplicaId replica_id,
 
   const BatchRecord record = batch_record(replica_id, batch, sim_now());
   if (batch.trace_seq != -1) {
-    trace_emit(local_trace(), TraceEventKind::kBatchEnd, sim_now(), replica_id,
-         batch.trace_seq, batch.spec.size());
+    trace_emit(trace_rec_, TraceEventKind::kBatchEnd, sim_now(), replica_id,
+               batch.trace_seq, batch.spec.size());
     batch.trace_seq = -1;
   }
 

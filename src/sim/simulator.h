@@ -42,7 +42,9 @@ class RollingCollector;
 /// run().
 struct SimObs {
   /// Lifecycle/batch/cluster event recorder; nullptr disables tracing
-  /// (the hot path then pays a single branch per would-be record).
+  /// (the hot path then pays a single branch per would-be record). A
+  /// recorder keeps the run on the central event queue, one event per
+  /// iteration: no shards, no stable decode windows.
   TraceRecorder* trace = nullptr;
   /// External registry to thread through instead of the simulator's own
   /// (lets several components share one namespace).
@@ -106,14 +108,15 @@ struct SimulationConfig {
   /// degrade-only profiles work anywhere.
   FaultConfig faults;
   /// Worker threads of the sharded simulation core (spec knob
-  /// `execution.threads`, default 1). Replicas advance on private event
-  /// queues inside conservative time windows bounded by the next central
-  /// event (a routing decision, autoscaler tick, fault edge or KV
-  /// migration); the per-shard streams merge deterministically at every
-  /// window boundary, so the result is bit-identical at every thread
-  /// count. Must be 1 for configurations whose cross-shard events have
-  /// zero lookahead or whose collection is not thread-safe (disaggregated
-  /// serving, operator metrics).
+  /// `execution.threads`, default 1). An untraced static round-robin fleet
+  /// advances each replica on a private event queue inside conservative
+  /// time windows bounded by the next central event (a degrade edge); a
+  /// window's shards run as tasks on one ThreadPool and touch nothing
+  /// shared, so the result is bit-identical at every thread count. Every
+  /// other run, traced runs included, plays on the central queue, where the
+  /// knob changes nothing. Must be 1 for configurations whose cross-shard
+  /// events have zero lookahead or whose collection is not thread-safe
+  /// (disaggregated serving, operator metrics).
   int threads = 1;
   /// Observability: trace recorder, shared registry, rolling windows.
   SimObs obs;
@@ -260,43 +263,35 @@ class Simulator {
   void pull_deferred(ReplicaId replica_id);
 
   // ---- sharded windowed engine ----
-  /// One replica's private simulation timeline: its own event queue plus
-  /// the trace staging buffer drained at every window boundary. Everything
-  /// a shard thread mutates while running events lives here, in the
-  /// matching Replica, or in the replica's own slot of the metrics
-  /// collector — nothing shared, no locks on the hot path.
+  /// One replica's private simulation timeline: its own event queue.
+  /// Everything a shard task mutates while running events lives here, in
+  /// the matching Replica, or in the replica's own slot of the metrics
+  /// collector — nothing shared, no locks on the hot path. Sharded runs
+  /// record no trace, so a shard emits nothing that would need ordering
+  /// against the others.
   struct SimShard {
     ReplicaId replica = -1;
     EventQueue events;
-    /// Trace records staged in shard-local order (unbounded — merged and
-    /// cleared every round, so it never grows past one window's output).
-    TraceRecorder staging{TraceRecorder::kUnbounded};
-    /// Next shard-local batch sequence number; staged records carry the
-    /// provisional id -(local)-2 until the merge assigns global seqs.
-    std::int64_t next_local_batch = 0;
     std::int64_t arrivals = 0;  ///< summed into requests.arrivals at end
     /// The running round's end: central events at this time run before
     /// any shard event at it.
     Seconds round_end = kInfiniteTime;
   };
 
-  /// Shard-local clock/queue/trace of the calling thread, falling back to
-  /// the central ones outside a window round. tls_shard_ is the only
+  /// Shard-local clock/queue of the calling thread, falling back to the
+  /// central ones outside a window round. tls_shard_ is the only
   /// thread-local switch: every handler reads time and schedules follow-on
   /// events through these, so one code path serves both engines.
   Seconds sim_now() const;
   EventQueue& local_events();
-  TraceRecorder* local_trace();
   /// Run one shard's events strictly below `window` (and within
   /// max_sim_time), with tls_shard_ pointing at it.
   void run_shard(SimShard& shard, Seconds window);
   /// One conservative round: advance every shard with pending work below
-  /// `window` (in parallel when a team exists), then merge.
+  /// `window` (one pool task per shard when a pool exists), then recount
+  /// the remaining work from the replicas' completion tallies. Rethrows the
+  /// lowest-numbered failing shard's error, whatever the thread count.
   void shard_round(Seconds window);
-  /// Window barrier: recount the remaining work from the replicas'
-  /// completion tallies, then k-way merge the round's staged trace records
-  /// by (time, shard, position), assigning global batch sequence numbers.
-  void merge_round();
 
   // ---- pools ----
   /// Pool owning a slot.
@@ -423,10 +418,11 @@ class Simulator {
   /// Arrivals pre-routable? True exactly when routing is a pure function
   /// of the arrival order (round-robin over a static, fault-degrade-only,
   /// non-disaggregated fleet without rolling windows or operator
-  /// metrics): targets are then known up front, arrivals seed per-replica
-  /// shard queues, and the stretches between central events run sharded.
-  /// Otherwise every arrival stays a central event and the run degenerates
-  /// to the legacy single-queue order exactly.
+  /// metrics) and no trace is recorded: targets are then known up front,
+  /// arrivals seed per-replica shard queues, and the stretches between
+  /// central events run sharded. Otherwise every arrival stays a central
+  /// event and the run degenerates to the legacy single-queue order
+  /// exactly.
   bool preroute_ = false;
   /// Stable decode windows allowed on PP = 1 replicas (decided in run()
   /// from the configuration): no trace recorder, no operator metrics, and
@@ -434,11 +430,8 @@ class Simulator {
   /// between its own events.
   bool decode_windows_ = false;
   std::vector<SimShard> shards_;  ///< one per slot when preroute_, else empty
-  /// Per-shard local -> global batch sequence map (grown at merge time).
-  std::vector<std::vector<std::int64_t>> shard_batch_seq_;
   std::vector<int> dirty_scratch_;  ///< shards with work this round
-  std::vector<std::size_t> merge_cur_;  ///< merge cursor per shard
-  std::unique_ptr<SpinTeam> team_;  ///< threads > 1 and > 1 shard only
+  std::unique_ptr<ThreadPool> pool_;  ///< threads > 1 and > 1 shard only
   /// The running thread's shard during a window round, null in central
   /// context (and always without pre-routing).
   static thread_local SimShard* tls_shard_;

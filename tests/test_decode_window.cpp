@@ -2,9 +2,11 @@
 // batch decodes every running request while nothing waits runs the
 // identical iterations that follow in one loop, instead of one stage-end
 // event each. Nothing a run reports may change. A trace recorder makes a
-// run ineligible for windows, so every run's traced twin is its
-// per-iteration reference, and the two must agree on every metric (the
-// registry included) and on every request record, token times included.
+// run ineligible for windows and keeps it on the central queue, so every
+// run's traced twin is its per-iteration reference (on a round-robin
+// fleet, the central reference of the sharded engine too), and the two
+// must agree on every metric (the registry included) and on every request
+// record, token times included.
 //
 //   - the policy premise the windows rest on, and the scheduler's window
 //     steps against the per-iteration schedule_into/on_batch_end path;

@@ -125,6 +125,13 @@ TEST(TraceRecorder, RingBufferDropsBeyondCapacityAndCounts) {
   EXPECT_EQ(recorder.records()[3].id, 9);
 }
 
+TEST(TraceRecorder, ZeroCapacityIsRejected) {
+  // emit() writes the ring's head slot unconditionally, so an empty ring
+  // must never exist (the spec layer rejects obs.trace_capacity <= 0 too).
+  EXPECT_THROW(TraceRecorder recorder(0), Error);
+  EXPECT_EQ(TraceRecorder{1}.capacity(), 1u);
+}
+
 // -------------------------------------------------- chrome trace export
 
 TEST(ChromeTrace, ExportValidatesAndCountsEveryPhase) {
