@@ -14,8 +14,12 @@
 #include "common/thread_pool.h"
 #include "search/capacity.h"
 
-// Build provenance injected by CMake onto this target; fall back so the
+// Build provenance from CMake: the build type as a definition on this
+// target, the SHA in a header generated on every build. Fall back so the
 // file still compiles standalone (e.g. in a scratch harness).
+#if __has_include("vidur_git_sha.h")
+#include "vidur_git_sha.h"
+#endif
 #ifndef VIDUR_GIT_SHA
 #define VIDUR_GIT_SHA "unknown"
 #endif

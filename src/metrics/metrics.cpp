@@ -120,14 +120,14 @@ void MetricsCollector::record_request(const RequestRecord& record) {
   requests_.push_back(record);
 }
 
-namespace {
-
-bool meets_slo(const RequestRecord& r, const SloSpec& slo) {
-  if (!r.completed()) return false;
-  if (slo.ttft_target > 0 && r.ttft() > slo.ttft_target) return false;
-  if (slo.tbt_target > 0 && r.worst_tbt() > slo.tbt_target) return false;
+bool meets_slo(const RequestRecord& record, const SloSpec& slo) {
+  if (!record.completed()) return false;
+  if (slo.ttft_target > 0 && record.ttft() > slo.ttft_target) return false;
+  if (slo.tbt_target > 0 && record.worst_tbt() > slo.tbt_target) return false;
   return true;
 }
+
+namespace {
 
 /// Exact summaries of the completed records `keep` accepts, read in place.
 /// Nothing is copied or sorted.

@@ -90,6 +90,10 @@ struct RequestRecord {
   Seconds worst_tbt() const { return token_times.worst_gap(); }
 };
 
+/// The SLO verdict of one request: it completed and every enabled target of
+/// `slo` holds (see SloSpec).
+bool meets_slo(const RequestRecord& record, const SloSpec& slo);
+
 /// Read-only view of request records where they are stored: a vector of
 /// records, or one record member of every element of a vector of larger
 /// structs (the simulator's request states). finalize() aggregates through

@@ -1,7 +1,5 @@
 #include "scheduler/disagg_policies.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace vidur {
@@ -9,49 +7,15 @@ namespace vidur {
 // ----------------------------------------------------------- prefill role
 
 void DisaggPrefillScheduler::fill_batch(BatchSpec& batch, Seconds now) {
-  TokenCount budget = config_.chunk_size;
-
-  // Continue partially-prefilled requests first (FIFO progress).
-  for (RequestState* r : running_) {
-    if (budget <= 0 ||
-        static_cast<int>(batch.items.size()) >= config_.max_batch_size)
-      break;
-    if (r->in_flight || r->prefill_complete()) continue;
-    const TokenCount chunk =
-        std::min<TokenCount>(budget, r->remaining_prefill());
-    if (!ensure_prefill_memory(r, r->kv_context + chunk)) continue;
-    add_prefill_item(batch, r, chunk, now);
-    budget -= chunk;
-  }
-
-  // Admit new prompts with their first chunk. Prefill replicas only ever
-  // hold prompt KV, which is released at hand-off, so a watermark adds
-  // nothing here.
-  while (budget > 0 &&
-         static_cast<int>(running_.size()) < config_.max_batch_size &&
-         static_cast<int>(batch.items.size()) < config_.max_batch_size) {
-    RequestState* r = peek_waiting();
-    if (r == nullptr) break;
-    const TokenCount chunk =
-        std::min<TokenCount>(budget, r->remaining_prefill());
-    // Absolute KV target: a cache-hit request already holds kv_context
-    // resident tokens and only allocates its first cold chunk.
-    if (admit_front(r->kv_context + chunk, /*respect_watermark=*/false) ==
-        nullptr)
-      break;
-    add_prefill_item(batch, r, chunk, now);
-    budget -= chunk;
-  }
+  // Continue partially-prefilled requests first (FIFO progress), then admit
+  // new prompts with their first chunk. Prefill replicas only ever hold
+  // prompt KV, which is released at hand-off, so a watermark adds nothing
+  // here.
+  const TokenCount budget = continue_chunks(batch, config_.chunk_size, now);
+  admit_chunks(batch, budget, /*respect_watermark=*/false, now);
 }
 
 // ------------------------------------------------------------ decode role
-
-long DisaggDecodeScheduler::peak_blocks_of_running() const {
-  long peak = 0;
-  for (const RequestState* r : running_)
-    peak += block_manager_.blocks_for_tokens(r->request.total_tokens());
-  return peak;
-}
 
 void DisaggDecodeScheduler::fill_batch(BatchSpec& batch, Seconds now) {
   // Admit migrated requests: allocate their already-transferred prompt KV
@@ -71,16 +35,8 @@ void DisaggDecodeScheduler::fill_batch(BatchSpec& batch, Seconds now) {
     if (admit_front(r->kv_context + 1, /*respect_watermark=*/false) == nullptr)
       break;
   }
-
   // Batch every runnable decode; admission guarantees memory.
-  for (RequestState* r : running_) {
-    if (static_cast<int>(batch.items.size()) >= config_.max_batch_size) break;
-    if (r->in_flight || r->finished()) continue;
-    VIDUR_CHECK_MSG(ensure_decode_memory(r, /*allow_preemption=*/false),
-                    "disaggregated decode ran out of KV blocks despite "
-                    "conservative admission");
-    add_decode_item(batch, r, now);
-  }
+  add_decodes(batch, kNoTokenCap, /*allow_preemption=*/false, now);
 }
 
 }  // namespace vidur

@@ -34,9 +34,6 @@ class DisaggDecodeScheduler final : public ReplicaScheduler {
 
  protected:
   void fill_batch(BatchSpec& batch, Seconds now) override;
-
- private:
-  long peak_blocks_of_running() const;
 };
 
 }  // namespace vidur

@@ -20,45 +20,20 @@ void FasterTransformerScheduler::fill_batch(BatchSpec& batch, Seconds now) {
     }
     return;
   }
-  // Group in progress: lockstep decode of every unfinished member.
-  for (RequestState* r : running_) {
-    if (r->in_flight || r->finished() || !r->prefill_complete()) continue;
-    add_decode_item(batch, r, now);
-  }
+  // Group in progress: lockstep decode of every unfinished member, whose
+  // KV was reserved at admission.
+  add_decodes(batch, kNoTokenCap, /*allow_preemption=*/false, now);
 }
 
 // ------------------------------------------------------------------ Orca+
 
 void OrcaScheduler::fill_batch(BatchSpec& batch, Seconds now) {
-  TokenCount tokens = 0;
-  int slots = config_.max_batch_size - static_cast<int>(running_.size());
-
-  // Prefill-prioritizing: admit new requests (whole prompt as one chunk).
-  while (slots > 0) {
-    RequestState* r = peek_waiting();
-    if (r == nullptr) break;
-    if (tokens + r->remaining_prefill() > config_.max_tokens_per_iteration)
-      break;
-    if (admit_front(r->request.prefill_tokens, /*respect_watermark=*/false) ==
-        nullptr)
-      break;
-    tokens += r->remaining_prefill();
-    add_prefill_item(batch, r, r->remaining_prefill(), now);
-    --slots;
-  }
-
-  // Join all runnable decodes.
-  for (std::size_t i = 0; i < running_.size(); ++i) {
-    // ensure_decode_memory() may preempt and shrink running_; re-check.
-    if (i >= running_.size()) break;
-    RequestState* r = running_[i];
-    if (static_cast<int>(batch.items.size()) >= config_.max_batch_size) break;
-    if (r->in_flight || r->finished() || !r->prefill_complete()) continue;
-    if (tokens + 1 > config_.max_tokens_per_iteration) break;
-    if (!ensure_decode_memory(r, /*allow_preemption=*/true)) continue;
-    tokens += 1;
-    add_decode_item(batch, r, now);
-  }
+  // Prefill-prioritizing: admit new requests (whole prompt as one chunk),
+  // then join every runnable decode the token cap still allows.
+  const TokenCount tokens = admit_prompts(batch, /*respect_watermark=*/false,
+                                          /*respect_peak=*/false, now);
+  add_decodes(batch, config_.max_tokens_per_iteration - tokens,
+              /*allow_preemption=*/true, now);
 }
 
 // ------------------------------------------------------------------- vLLM
@@ -67,119 +42,35 @@ void VllmScheduler::fill_batch(BatchSpec& batch, Seconds now) {
   // Eager prefill: while requests wait and memory (above the watermark)
   // allows, run a prefill-only batch, pausing decodes. The batch-size knob
   // caps *concurrent* sequences (vLLM's max_num_seqs).
-  TokenCount tokens = 0;
-  while (static_cast<int>(running_.size()) < config_.max_batch_size) {
-    RequestState* r = peek_waiting();
-    if (r == nullptr) break;
-    if (tokens + r->remaining_prefill() > config_.max_tokens_per_iteration)
-      break;
-    if (admit_front(r->request.prefill_tokens, /*respect_watermark=*/true) ==
-        nullptr)
-      break;
-    tokens += r->remaining_prefill();
-    add_prefill_item(batch, r, r->remaining_prefill(), now);
-  }
+  admit_prompts(batch, /*respect_watermark=*/true, /*respect_peak=*/false,
+                now);
   if (!batch.items.empty()) return;  // prefill batch formed; decodes paused
-
   // Decode batch over every runnable request, preempting on OOM.
-  for (std::size_t i = 0; i < running_.size(); ++i) {
-    // ensure_decode_memory() may preempt and shrink running_; re-check.
-    if (i >= running_.size()) break;
-    RequestState* r = running_[i];
-    if (static_cast<int>(batch.items.size()) >= config_.max_batch_size) break;
-    if (r->in_flight || r->finished() || !r->prefill_complete()) continue;
-    if (!ensure_decode_memory(r, /*allow_preemption=*/true)) continue;
-    add_decode_item(batch, r, now);
-  }
+  add_decodes(batch, kNoTokenCap, /*allow_preemption=*/true, now);
 }
 
 // ---------------------------------------------------------------- Sarathi
 
 void SarathiScheduler::fill_batch(BatchSpec& batch, Seconds now) {
-  TokenCount budget = config_.chunk_size;
-
-  // Decodes first — they are never paused.
-  for (std::size_t i = 0; i < running_.size(); ++i) {
-    if (i >= running_.size()) break;  // preemption may shrink running_
-    RequestState* r = running_[i];
-    if (budget <= 0 ||
-        static_cast<int>(batch.items.size()) >= config_.max_batch_size)
-      break;
-    if (r->in_flight || r->finished() || !r->prefill_complete()) continue;
-    if (!ensure_decode_memory(r, /*allow_preemption=*/true)) continue;
-    add_decode_item(batch, r, now);
-    budget -= 1;
-  }
-
-  // Continue partially-prefilled requests.
-  for (RequestState* r : running_) {
-    if (budget <= 0 ||
-        static_cast<int>(batch.items.size()) >= config_.max_batch_size)
-      break;
-    if (r->in_flight || r->prefill_complete()) continue;
-    const TokenCount chunk = std::min<TokenCount>(budget, r->remaining_prefill());
-    if (!ensure_prefill_memory(r, r->kv_context + chunk)) continue;
-    add_prefill_item(batch, r, chunk, now);
-    budget -= chunk;
-  }
-
-  // Admit new requests with their first chunk. The batch-size knob caps
-  // concurrent sequences (max_num_seqs), not just per-iteration items.
-  while (budget > 0 &&
-         static_cast<int>(running_.size()) < config_.max_batch_size &&
-         static_cast<int>(batch.items.size()) < config_.max_batch_size) {
-    RequestState* r = peek_waiting();
-    if (r == nullptr) break;
-    const TokenCount chunk = std::min<TokenCount>(budget, r->remaining_prefill());
-    // Absolute KV target: a cache-hit request already holds kv_context
-    // resident tokens and only allocates its first cold chunk.
-    if (admit_front(r->kv_context + chunk, /*respect_watermark=*/true) ==
-        nullptr)
-      break;
-    add_prefill_item(batch, r, chunk, now);
-    budget -= chunk;
-  }
+  // Decodes first (they are never paused), then partially prefilled
+  // requests, then new requests with their first chunk, all under one
+  // chunk_size budget. The batch-size knob caps concurrent sequences
+  // (max_num_seqs), not just per-iteration items.
+  TokenCount budget = add_decodes(batch, config_.chunk_size,
+                                  /*allow_preemption=*/true, now);
+  budget = continue_chunks(batch, budget, now);
+  admit_chunks(batch, budget, /*respect_watermark=*/true, now);
 }
 
 // --------------------------------------------------------------- LightLLM
 
-long LightLlmScheduler::peak_blocks_of_running() const {
-  long peak = 0;
-  for (const RequestState* r : running_)
-    peak += block_manager_.blocks_for_tokens(r->request.total_tokens());
-  return peak;
-}
-
 void LightLlmScheduler::fill_batch(BatchSpec& batch, Seconds now) {
-  TokenCount tokens = 0;
-
   // Conservative admission: after admitting, the pool must be able to hold
-  // every running request grown to its maximum length.
-  while (static_cast<int>(running_.size()) < config_.max_batch_size) {
-    RequestState* r = peek_waiting();
-    if (r == nullptr) break;
-    if (tokens + r->remaining_prefill() > config_.max_tokens_per_iteration)
-      break;
-    const long peak_after =
-        peak_blocks_of_running() +
-        block_manager_.blocks_for_tokens(r->request.total_tokens());
-    if (peak_after > block_manager_.total_blocks()) break;
-    if (admit_front(r->request.prefill_tokens, /*respect_watermark=*/false) ==
-        nullptr)
-      break;
-    tokens += r->remaining_prefill();
-    add_prefill_item(batch, r, r->remaining_prefill(), now);
-  }
-
-  // All runnable decodes; admission guarantees memory, so never preempt.
-  for (RequestState* r : running_) {
-    if (static_cast<int>(batch.items.size()) >= config_.max_batch_size) break;
-    if (r->in_flight || r->finished() || !r->prefill_complete()) continue;
-    VIDUR_CHECK_MSG(ensure_decode_memory(r, /*allow_preemption=*/false),
-                    "LightLLM invariant violated: decode ran out of KV "
-                    "blocks despite conservative admission");
-    add_decode_item(batch, r, now);
-  }
+  // every running request grown to its maximum length, so decodes never
+  // preempt.
+  admit_prompts(batch, /*respect_watermark=*/false, /*respect_peak=*/true,
+                now);
+  add_decodes(batch, kNoTokenCap, /*allow_preemption=*/false, now);
 }
 
 // ---------------------------------------------------------------- factory

@@ -65,9 +65,6 @@ class LightLlmScheduler final : public ReplicaScheduler {
 
  protected:
   void fill_batch(BatchSpec& batch, Seconds now) override;
-
- private:
-  long peak_blocks_of_running() const;
 };
 
 }  // namespace vidur

@@ -384,6 +384,91 @@ void ReplicaScheduler::add_decode_item(BatchSpec& batch, RequestState* r,
   mark_scheduled(r, now);
 }
 
+TokenCount ReplicaScheduler::admit_prompts(BatchSpec& batch,
+                                           bool respect_watermark,
+                                           bool respect_peak, Seconds now) {
+  TokenCount tokens = 0;
+  while (static_cast<int>(running_.size()) < config_.max_batch_size) {
+    RequestState* r = peek_waiting();
+    if (r == nullptr) break;
+    const TokenCount prompt = r->remaining_prefill();
+    if (tokens + prompt > config_.max_tokens_per_iteration) break;
+    if (respect_peak &&
+        peak_blocks_of_running() +
+                block_manager_.blocks_for_tokens(r->request.total_tokens()) >
+            block_manager_.total_blocks())
+      break;
+    if (admit_front(r->request.prefill_tokens, respect_watermark) == nullptr)
+      break;
+    tokens += prompt;
+    add_prefill_item(batch, r, prompt, now);
+  }
+  return tokens;
+}
+
+TokenCount ReplicaScheduler::continue_chunks(BatchSpec& batch,
+                                             TokenCount budget, Seconds now) {
+  for (RequestState* r : running_) {
+    if (budget <= 0 ||
+        static_cast<int>(batch.items.size()) >= config_.max_batch_size)
+      break;
+    if (r->in_flight || r->prefill_complete()) continue;
+    const TokenCount chunk =
+        std::min<TokenCount>(budget, r->remaining_prefill());
+    if (!ensure_prefill_memory(r, r->kv_context + chunk)) continue;
+    add_prefill_item(batch, r, chunk, now);
+    budget -= chunk;
+  }
+  return budget;
+}
+
+void ReplicaScheduler::admit_chunks(BatchSpec& batch, TokenCount budget,
+                                    bool respect_watermark, Seconds now) {
+  while (budget > 0 &&
+         static_cast<int>(running_.size()) < config_.max_batch_size &&
+         static_cast<int>(batch.items.size()) < config_.max_batch_size) {
+    RequestState* r = peek_waiting();
+    if (r == nullptr) break;
+    const TokenCount chunk =
+        std::min<TokenCount>(budget, r->remaining_prefill());
+    // Absolute KV target: a cache-hit request already holds kv_context
+    // resident tokens and only allocates its first cold chunk.
+    if (admit_front(r->kv_context + chunk, respect_watermark) == nullptr)
+      break;
+    add_prefill_item(batch, r, chunk, now);
+    budget -= chunk;
+  }
+}
+
+TokenCount ReplicaScheduler::add_decodes(BatchSpec& batch, TokenCount budget,
+                                         bool allow_preemption, Seconds now) {
+  // ensure_decode_memory() may preempt and shrink running_: walk by index
+  // and re-check the size every step.
+  for (std::size_t i = 0; i < running_.size(); ++i) {
+    if (budget < 1 ||
+        static_cast<int>(batch.items.size()) >= config_.max_batch_size)
+      break;
+    RequestState* r = running_[i];
+    if (r->in_flight || r->finished() || !r->prefill_complete()) continue;
+    const bool fits = ensure_decode_memory(r, allow_preemption);
+    if (!fits && allow_preemption) continue;  // preempted, or still no room
+    VIDUR_CHECK_MSG(fits, "decode of request "
+                              << r->request.id
+                              << " ran out of KV blocks despite conservative "
+                                 "admission");
+    add_decode_item(batch, r, now);
+    budget -= 1;
+  }
+  return budget;
+}
+
+long ReplicaScheduler::peak_blocks_of_running() const {
+  long peak = 0;
+  for (const RequestState* r : running_)
+    peak += block_manager_.blocks_for_tokens(r->request.total_tokens());
+  return peak;
+}
+
 void ReplicaScheduler::mark_scheduled(RequestState* r, Seconds now) {
   if (r->record.first_scheduled_time < 0) {
     r->record.first_scheduled_time = now;

@@ -1,11 +1,18 @@
 // Replica scheduler (paper §4.5, second tier): owns batching and memory
 // management for one model replica. Concrete policies (FasterTransformer,
-// Orca+, vLLM, Sarathi-Serve, LightLLM) override the batch-formation hook;
-// admission, preemption and accounting helpers live here, which is what
-// keeps each policy small (the paper notes every policy fits in ~150 lines).
+// Orca+, vLLM, Sarathi-Serve, LightLLM and the two disaggregated roles)
+// override the batch-formation hook, and each composes it from four shared
+// steps that live here: whole-prompt admission, chunk continuation, chunk
+// admission and the decode half. Sarathi is "decodes on chunk_size, then
+// continue chunks, then admit chunks above the watermark"; Orca+ is "admit
+// prompts, then decodes on what the token cap leaves". Only
+// FasterTransformer's group admission and the decode role's migrated-
+// request admission keep loops of their own. Admission, preemption and
+// accounting helpers live here too.
 #pragma once
 
 #include <deque>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -136,6 +143,49 @@ class ReplicaScheduler {
  protected:
   /// Policy hook: append items to `batch` (and perform allocations).
   virtual void fill_batch(BatchSpec& batch, Seconds now) = 0;
+
+  // ---- batch-formation steps the policies compose ----
+  // Each step appends items to `batch`, never past config_.max_batch_size
+  // items, and allocates the KV its items need.
+
+  /// Token budget of a step that has no per-iteration token cap.
+  static constexpr TokenCount kNoTokenCap =
+      std::numeric_limits<TokenCount>::max();
+
+  /// Admit waiting requests front to back, each with its whole remaining
+  /// prompt as one chunk, while fewer than max_batch_size requests run and
+  /// the prompts fit max_tokens_per_iteration. Optionally the allocation
+  /// must leave the watermark free, and (`respect_peak`) the pool must hold
+  /// every running request and the new one at their maximum lengths.
+  /// Returns the prompt tokens added.
+  TokenCount admit_prompts(BatchSpec& batch, bool respect_watermark,
+                           bool respect_peak, Seconds now);
+
+  /// Give partially prefilled running requests their next chunk out of
+  /// `budget`, skipping a request whose chunk does not fit in KV. Returns
+  /// the budget left.
+  TokenCount continue_chunks(BatchSpec& batch, TokenCount budget,
+                             Seconds now);
+
+  /// Admit waiting requests front to back with their first chunk out of
+  /// `budget`, while fewer than max_batch_size requests run, optionally
+  /// leaving the watermark free.
+  void admit_chunks(BatchSpec& batch, TokenCount budget,
+                    bool respect_watermark, Seconds now);
+
+  /// The decode half: one decode item per runnable running request (not in
+  /// flight, not finished, prefill complete) in admission order, one token
+  /// of `budget` each, until the budget is spent. With `allow_preemption`
+  /// a request whose next token needs KV preempts (ensure_decode_memory)
+  /// and is skipped if it still does not fit; without it, admission must
+  /// have guaranteed the memory, and a miss fails a VIDUR_CHECK. Returns
+  /// the budget left.
+  TokenCount add_decodes(BatchSpec& batch, TokenCount budget,
+                         bool allow_preemption, Seconds now);
+
+  /// KV blocks every running request would hold at its maximum length (the
+  /// conservative admission bound of LightLLM and the decode role).
+  long peak_blocks_of_running() const;
 
   // ---- helpers shared by the policies ----
 

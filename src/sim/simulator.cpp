@@ -421,32 +421,33 @@ int Simulator::tenant_priority(TenantId tenant) const {
   return tenant_priority_by_id_[static_cast<std::size_t>(tenant)];
 }
 
+const SloSpec* Simulator::tenant_slo(TenantId tenant) const {
+  if (tenant < 0 ||
+      static_cast<std::size_t>(tenant) >= tenant_slo_by_id_.size())
+    return nullptr;
+  return tenant_slo_by_id_[static_cast<std::size_t>(tenant)];
+}
+
 void Simulator::setup_observability() {
   trace_rec_ = config_.obs.trace;
-  if (config_.obs.registry != nullptr) {
-    registry_ = config_.obs.registry;
-  } else {
-    owned_registry_ = std::make_unique<MetricsRegistry>();
-    registry_ = owned_registry_.get();
-  }
-  ctr_arrivals_ = registry_->counter("sim.requests_arrived");
-  ctr_completions_ = registry_->counter("sim.requests_completed");
-  ctr_batches_ = registry_->counter("sim.batches");
-  ctr_migrations_ = registry_->counter("sim.migrations");
-  ctr_reroutes_ = registry_->counter("sim.reroutes");
+  ctr_arrivals_ = registry_.counter("sim.requests_arrived");
+  ctr_completions_ = registry_.counter("sim.requests_completed");
+  ctr_batches_ = registry_.counter("sim.batches");
+  ctr_migrations_ = registry_.counter("sim.migrations");
+  ctr_reroutes_ = registry_.counter("sim.reroutes");
 
   // The registry entries exist up front (snapshots always carry the keys),
   // but each scheduler counts into its own replica's tallies — shard
   // threads then never race on the shared counters; run() folds the
   // tallies in after the last event.
-  registry_->counter("scheduler.preemptions");
-  registry_->counter("scheduler.admissions");
+  registry_.counter("scheduler.preemptions");
+  registry_.counter("scheduler.admissions");
   for (ReplicaId r = 0; r < num_slots_; ++r) {
     Replica& replica = replicas_[static_cast<std::size_t>(r)];
     replica.scheduler->set_obs(r, trace_rec_, &replica.preemptions,
                                &replica.admissions);
   }
-  if (cluster_) cluster_->set_obs(trace_rec_, registry_);
+  if (cluster_) cluster_->set_obs(trace_rec_, &registry_);
 
   // The tenant -> SLO map serves both the rolling windows and the
   // resilience SLO-attainment split, so it is built unconditionally.
@@ -457,7 +458,8 @@ void Simulator::setup_observability() {
     if (max_id >= 0)
       tenant_slo_by_id_.assign(static_cast<std::size_t>(max_id) + 1, nullptr);
     for (const TenantInfo& t : config_.tenants)
-      if (t.id >= 0) tenant_slo_by_id_[static_cast<std::size_t>(t.id)] = &t.slo;
+      if (t.id >= 0 && t.slo.enabled())
+        tenant_slo_by_id_[static_cast<std::size_t>(t.id)] = &t.slo;
   }
 
   if (config_.obs.rolling_window_s > 0) {
@@ -509,18 +511,8 @@ void Simulator::rolling_completions(
   for (const RequestState* r : finished) {
     const RequestRecord& rec = r->record;
     const Seconds worst_tbt = rec.worst_tbt();
-    const SloSpec* slo =
-        rec.tenant >= 0 &&
-                static_cast<std::size_t>(rec.tenant) < tenant_slo_by_id_.size()
-            ? tenant_slo_by_id_[static_cast<std::size_t>(rec.tenant)]
-            : nullptr;
-    int slo_state = -1;
-    if (slo != nullptr && slo->enabled()) {
-      bool met = true;
-      if (slo->ttft_target > 0 && rec.ttft() > slo->ttft_target) met = false;
-      if (slo->tbt_target > 0 && worst_tbt > slo->tbt_target) met = false;
-      slo_state = met ? 1 : 0;
-    }
+    const SloSpec* slo = tenant_slo(rec.tenant);
+    const int slo_state = slo == nullptr ? -1 : meets_slo(rec, *slo) ? 1 : 0;
     rolling_->on_completion(0, now, rec.ttft(), worst_tbt, slo_state);
     const int track = tenant_track(rec.tenant);
     if (track >= 0)
@@ -626,8 +618,8 @@ SimulationMetrics Simulator::run() {
   // Replica-private tallies fold into the shared counters once, after the
   // last event: shard threads never touch the registry.
   {
-    Counter* preemptions = registry_->counter("scheduler.preemptions");
-    Counter* admissions = registry_->counter("scheduler.admissions");
+    Counter* preemptions = registry_.counter("scheduler.preemptions");
+    Counter* admissions = registry_.counter("scheduler.admissions");
     for (const Replica& replica : replicas_) {
       preemptions->value += replica.preemptions.value;
       admissions->value += replica.admissions.value;
@@ -664,9 +656,9 @@ SimulationMetrics Simulator::run() {
                : static_pools_report(config_.pools, end_time);
   // Final registry state: per-request latency histograms plus engine-level
   // gauges, then the snapshot travels with the metrics.
-  LatencyHistogram* ttft_hist = registry_->histogram("request.ttft_s");
-  LatencyHistogram* tbt_hist = registry_->histogram("request.tbt_worst_s");
-  LatencyHistogram* e2e_hist = registry_->histogram("request.e2e_s");
+  LatencyHistogram* ttft_hist = registry_.histogram("request.ttft_s");
+  LatencyHistogram* tbt_hist = registry_.histogram("request.tbt_worst_s");
+  LatencyHistogram* e2e_hist = registry_.histogram("request.e2e_s");
   for (const RequestState& state : states_) {
     const RequestRecord& rec = state.record;
     if (!rec.completed()) continue;
@@ -675,8 +667,8 @@ SimulationMetrics Simulator::run() {
     const Seconds worst_tbt = rec.worst_tbt();
     if (worst_tbt >= 0) tbt_hist->record(worst_tbt);
   }
-  registry_->counter("sim.events")->value = num_events;
-  registry_->gauge("sim.makespan_s")->set(end_time);
+  registry_.counter("sim.events")->value = num_events;
+  registry_.gauge("sim.makespan_s")->set(end_time);
 
   // The request records are aggregated where they live, never copied.
   SimulationMetrics metrics = metrics_.finalize(
@@ -686,7 +678,7 @@ SimulationMetrics Simulator::run() {
     aggregate_prefix_cache(metrics.prefix_cache);
   if (config_.faults.enabled()) aggregate_resilience(metrics.resilience);
   metrics.num_sim_events = num_events;
-  metrics.registry = registry_->snapshot();
+  metrics.registry = registry_.snapshot();
   if (rolling_) metrics.rolling = rolling_->finalize(end_time);
   return metrics;
 }
@@ -1205,7 +1197,7 @@ Seconds Simulator::kv_transfer_time(const RequestState& request) const {
          config_.disagg.transfer_latency;
 }
 
-void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
+void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) {
   out.enabled = true;
   std::map<TenantId, PrefixCacheMetrics::Slice> by_tenant;
   std::vector<PrefixCacheMetrics::Slice> by_pool(config_.pools.size());
@@ -1258,21 +1250,21 @@ void Simulator::aggregate_prefix_cache(PrefixCacheMetrics& out) const {
   }
   out.by_pool = std::move(by_pool);
   // The registry snapshot carries the same totals for dashboards.
-  registry_->counter("kvcache.lookups")->value =
+  registry_.counter("kvcache.lookups")->value =
       static_cast<std::uint64_t>(out.lookups);
-  registry_->counter("kvcache.hits")->value =
+  registry_.counter("kvcache.hits")->value =
       static_cast<std::uint64_t>(out.hits);
-  registry_->counter("kvcache.misses")->value =
+  registry_.counter("kvcache.misses")->value =
       static_cast<std::uint64_t>(out.misses);
-  registry_->counter("kvcache.inserted_blocks")->value =
+  registry_.counter("kvcache.inserted_blocks")->value =
       static_cast<std::uint64_t>(out.inserted_blocks);
-  registry_->counter("kvcache.evicted_blocks")->value =
+  registry_.counter("kvcache.evicted_blocks")->value =
       static_cast<std::uint64_t>(out.evicted_blocks);
-  registry_->counter("kvcache.prefill_tokens_saved")->value =
+  registry_.counter("kvcache.prefill_tokens_saved")->value =
       static_cast<std::uint64_t>(out.tokens_saved);
 }
 
-void Simulator::aggregate_resilience(ResilienceMetrics& out) const {
+void Simulator::aggregate_resilience(ResilienceMetrics& out) {
   out.enabled = true;
   const FaultInjector::Log& log = injector_->log();
   out.num_crashes = log.crashes;
@@ -1295,21 +1287,11 @@ void Simulator::aggregate_resilience(ResilienceMetrics& out) const {
                impacted_met = 0;
   for (const RequestState& state : states_) {
     const RequestRecord& rec = state.record;
-    const SloSpec* slo =
-        rec.tenant >= 0 &&
-                static_cast<std::size_t>(rec.tenant) < tenant_slo_by_id_.size()
-            ? tenant_slo_by_id_[static_cast<std::size_t>(rec.tenant)]
-            : nullptr;
-    if (slo == nullptr || !slo->enabled()) continue;
-    bool met = false;
-    if (rec.completed()) {
-      met = true;
-      if (slo->ttft_target > 0 && rec.ttft() > slo->ttft_target) met = false;
-      if (slo->tbt_target > 0 && rec.worst_tbt() > slo->tbt_target)
-        met = false;
-    } else if (!rec.shed && !rec.lost) {
-      continue;  // never finished for another reason (max_sim_time cutoff)
-    }
+    const SloSpec* slo = tenant_slo(rec.tenant);
+    if (slo == nullptr) continue;
+    // Never finished for another reason (max_sim_time cutoff): not counted.
+    if (!rec.completed() && !rec.shed && !rec.lost) continue;
+    const bool met = meets_slo(rec, *slo);
     if (rec.fault_impacted()) {
       ++impacted_total;
       impacted_met += met ? 1 : 0;
@@ -1327,27 +1309,27 @@ void Simulator::aggregate_resilience(ResilienceMetrics& out) const {
                                static_cast<double>(impacted_total)
                          : -1.0;
   // The registry snapshot carries the same tallies for dashboards.
-  registry_->counter("faults.crashes")->value =
+  registry_.counter("faults.crashes")->value =
       static_cast<std::uint64_t>(out.num_crashes);
-  registry_->counter("faults.spot_reclaims")->value =
+  registry_.counter("faults.spot_reclaims")->value =
       static_cast<std::uint64_t>(out.num_spot_reclaims);
-  registry_->counter("faults.degrade_events")->value =
+  registry_.counter("faults.degrade_events")->value =
       static_cast<std::uint64_t>(out.num_degrade_events);
-  registry_->counter("faults.retries")->value =
+  registry_.counter("faults.retries")->value =
       static_cast<std::uint64_t>(out.num_retries);
-  registry_->counter("faults.handoffs")->value =
+  registry_.counter("faults.handoffs")->value =
       static_cast<std::uint64_t>(out.num_handoffs);
-  registry_->counter("faults.shed")->value =
+  registry_.counter("faults.shed")->value =
       static_cast<std::uint64_t>(out.num_shed);
-  registry_->counter("faults.lost")->value =
+  registry_.counter("faults.lost")->value =
       static_cast<std::uint64_t>(out.num_lost);
-  registry_->counter("faults.repairs")->value =
+  registry_.counter("faults.repairs")->value =
       static_cast<std::uint64_t>(out.num_repairs);
-  registry_->counter("faults.tokens_reprefilled")->value =
+  registry_.counter("faults.tokens_reprefilled")->value =
       static_cast<std::uint64_t>(out.tokens_reprefilled);
-  registry_->counter("faults.decode_tokens_discarded")->value =
+  registry_.counter("faults.decode_tokens_discarded")->value =
       static_cast<std::uint64_t>(out.decode_tokens_discarded);
-  registry_->gauge("faults.mttr_s")->set(out.mttr_s);
+  registry_.gauge("faults.mttr_s")->set(out.mttr_s);
 }
 
 }  // namespace vidur

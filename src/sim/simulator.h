@@ -46,9 +46,6 @@ struct SimObs {
   /// recorder keeps the run on the central event queue, one event per
   /// iteration: no shards, no stable decode windows.
   TraceRecorder* trace = nullptr;
-  /// External registry to thread through instead of the simulator's own
-  /// (lets several components share one namespace).
-  MetricsRegistry* registry = nullptr;
   /// Rolling windowed metrics (per-tenant/per-pool TTFT/TBT/SLO/queue
   /// depth): window length in simulated seconds; 0 disables.
   Seconds rolling_window_s = 0.0;
@@ -118,7 +115,7 @@ struct SimulationConfig {
   /// events have zero lookahead or whose collection is not thread-safe
   /// (disaggregated serving, operator metrics).
   int threads = 1;
-  /// Observability: trace recorder, shared registry, rolling windows.
+  /// Observability: trace recorder and rolling windows.
   SimObs obs;
 };
 
@@ -337,13 +334,15 @@ class Simulator {
   bool maybe_shed(RequestState* request);
   /// Priority of a request's tenant (untagged tenants are priority 0).
   int tenant_priority(TenantId tenant) const;
+  /// Enabled SLO of a tenant, or nullptr when it has none (or is unknown).
+  const SloSpec* tenant_slo(TenantId tenant) const;
   /// Fill metrics.resilience from the injector log + recovery tallies and
   /// mirror it into the `faults.*` registry counters.
-  void aggregate_resilience(ResilienceMetrics& out) const;
+  void aggregate_resilience(ResilienceMetrics& out);
 
   // ---- observability (src/obs/) ----
-  /// Wire the registry/trace/rolling attachments; called once from the
-  /// constructor after replicas and cluster manager exist.
+  /// Wire the registry counters and the trace/rolling attachments; called
+  /// once from the constructor after replicas and cluster manager exist.
   void setup_observability();
   /// Rolling track of a tenant, or -1 when rolling is off / unmapped.
   int tenant_track(TenantId tenant) const;
@@ -356,7 +355,7 @@ class Simulator {
                            const std::vector<RequestState*>& finished);
   /// Merge every replica's prefix-cache stats into `out` (totals,
   /// per-tenant and per-pool slices) and mirror them into the registry.
-  void aggregate_prefix_cache(PrefixCacheMetrics& out) const;
+  void aggregate_prefix_cache(PrefixCacheMetrics& out);
 
   /// The configuration as run: `pools` holds the deployment, the
   /// shorthand fields are cleared.
@@ -403,8 +402,7 @@ class Simulator {
 
   // ---- observability state ----
   TraceRecorder* trace_rec_ = nullptr;  ///< nullptr = tracing off
-  MetricsRegistry* registry_ = nullptr;  ///< external (obs) or owned
-  std::unique_ptr<MetricsRegistry> owned_registry_;
+  MetricsRegistry registry_;
   std::unique_ptr<RollingCollector> rolling_;  ///< nullptr = rolling off
   /// Counter handles resolved once; hot-path increments are pointer adds.
   Counter* ctr_arrivals_ = nullptr;
@@ -438,7 +436,7 @@ class Simulator {
 
   /// Rolling-track layout: 0 = cluster, then tenants, then pools.
   std::vector<int> tenant_track_by_id_;  ///< tenant id -> track (-1: none)
-  std::vector<const SloSpec*> tenant_slo_by_id_;  ///< nullptr: no SLO
+  std::vector<const SloSpec*> tenant_slo_by_id_;  ///< nullptr: no enabled SLO
   int pool_track_base_ = -1;  ///< first pool track (rolling on)
 };
 
